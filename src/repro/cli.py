@@ -277,12 +277,6 @@ def _cmd_cache(args) -> int:
         if only in ("all", "artifacts"):
             removed = store.clear()
             print(f"removed {removed} artifact(s) from {store.root}")
-        elif only == "lowered":
-            removed = store.clear(kinds=(artifacts_mod.KIND_LOWERED,))
-            print(
-                f"removed {removed} lowered-region artifact(s) "
-                f"from {store.root}"
-            )
         elif only == "kernels":
             removed = store.clear(kinds=(artifacts_mod.KIND_KERNEL,))
             print(
@@ -299,7 +293,6 @@ def _cmd_cache(args) -> int:
     print(f"  root    : {artifact_info['root']}")
     print(f"  compiled: {artifact_info['compiled']}")
     print(f"  oracles : {artifact_info['oracles']}")
-    print(f"  lowered : {artifact_info['lowered']}")
     print(f"  kernels : {artifact_info['kernels']}")
     print(f"  size    : {artifact_info['bytes']} bytes")
     return 0
@@ -728,8 +721,21 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _workload_name(value: str) -> str:
+    names = [workload.name for workload in all_workloads()]
+    if value not in names:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {value!r}; valid: {', '.join(names)}"
+        )
+    return value
+
+
 def _workload_list(value: str) -> List[str]:
-    return [name.strip() for name in value.split(",") if name.strip()]
+    return [
+        _workload_name(name.strip())
+        for name in value.split(",")
+        if name.strip()
+    ]
 
 
 def _scheme_list(value: str) -> List[str]:
@@ -795,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     compile_parser = sub.add_parser("compile", help="run the TLS pipeline")
-    compile_parser.add_argument("workload")
+    compile_parser.add_argument("workload", type=_workload_name)
     compile_parser.add_argument("--threshold", type=float, default=0.05)
     compile_parser.add_argument(
         "--emit",
@@ -806,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.set_defaults(func=_cmd_compile)
 
     simulate_parser = sub.add_parser("simulate", help="simulate one bar")
-    simulate_parser.add_argument("workload")
+    simulate_parser.add_argument("workload", type=_workload_name)
     simulate_parser.add_argument("--bar", choices=BARS, default="C")
     simulate_parser.add_argument("--cores", type=int, default=4)
     simulate_parser.add_argument("--threshold", type=float, default=0.05)
@@ -852,11 +858,11 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser.add_argument("--cache-dir", default=None)
     cache_parser.add_argument(
         "--only",
-        choices=("all", "results", "artifacts", "lowered", "kernels"),
+        choices=("all", "results", "artifacts", "kernels"),
         default="all",
         help="scope for clear: simulation results, compiled artifacts "
-        "(every kind), only lowered-region tables, only codegen'd "
-        "kernel tables, or everything (default)",
+        "(every kind), only codegen'd kernel tables, or everything "
+        "(default)",
     )
     cache_parser.set_defaults(func=_cmd_cache)
 
@@ -864,7 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="simulate one cell with full event tracing"
     )
     trace_parser.add_argument(
-        "--workload", default=None, help="workload name (see `repro list`)"
+        "--workload", type=_workload_name, default=None,
+        help="workload name (see `repro list`)",
     )
     trace_parser.add_argument(
         "--job", default=None, metavar="JOB_ID",

@@ -65,7 +65,6 @@ ARTIFACT_SCHEMA_VERSION = 1
 #: Artifact kinds (the filename suffix).
 KIND_COMPILED = "compiled"
 KIND_ORACLE = "oracle"
-KIND_LOWERED = "lowered"
 KIND_KERNEL = "kernel"
 
 
@@ -549,38 +548,6 @@ class ArtifactStore:
             oracle_to_state(oracle),
         )
 
-    def lowered_key(self, module, cost_sig) -> str:
-        """Key for a vector-backend region table.
-
-        Keyed on the exact module content (iids included — regions
-        carry instruction indices) and the engine cost signature the
-        clock-offset tables were generated under.
-        """
-        return artifact_key(
-            KIND_LOWERED, module.name, 0.0, "", "",
-            extra={
-                "module": module_content_hash(module),
-                "cost": list(cost_sig),
-            },
-        )
-
-    def load_lowered(self, module, cost_sig) -> Optional[Dict]:
-        """Stored lowered-region state, or None (counts hit/miss).
-
-        Returns the raw state dict: revalidation against the decoded
-        program (and the stale-table fallback) happens in
-        ``repro.ir.lower.lowered_for``.
-        """
-        payload = self._get(self.lowered_key(module, cost_sig), KIND_LOWERED)
-        if payload is None:
-            _bump("misses")
-            return None
-        _bump("hits")
-        return payload
-
-    def save_lowered(self, module, cost_sig, state: Dict) -> None:
-        self._put(self.lowered_key(module, cost_sig), KIND_LOWERED, state)
-
     def kernel_key(self, module, cost_sig) -> str:
         """Key for a codegen'd kernel table (extended region sources).
 
@@ -621,7 +588,7 @@ class ArtifactStore:
     def info(self) -> Dict:
         """Entry counts and total size, for ``repro cache info``."""
         counts = {
-            KIND_COMPILED: 0, KIND_ORACLE: 0, KIND_LOWERED: 0, KIND_KERNEL: 0,
+            KIND_COMPILED: 0, KIND_ORACLE: 0, KIND_KERNEL: 0,
         }
         size = 0
         if self.root.exists():
@@ -640,7 +607,6 @@ class ArtifactStore:
             "root": str(self.root),
             "compiled": counts[KIND_COMPILED],
             "oracles": counts[KIND_ORACLE],
-            "lowered": counts[KIND_LOWERED],
             "kernels": counts[KIND_KERNEL],
             "entries": sum(counts.values()),
             "bytes": size,
@@ -649,9 +615,11 @@ class ArtifactStore:
     def clear(self, kinds: Optional[Sequence[str]] = None) -> int:
         """Delete artifacts (all kinds, or only ``kinds``); returns count.
 
-        ``kinds`` lets ``repro cache clear --only lowered`` wipe the
-        per-machine lowered-region tables a sweep left behind without
-        discarding compiled workloads and oracles.
+        ``kinds`` lets ``repro cache clear --only kernels`` wipe the
+        per-machine kernel tables a sweep left behind without
+        discarding compiled workloads and oracles.  Without ``kinds``
+        every ``*.json`` under the root goes, including entries of
+        kinds older versions wrote.
         """
         removed = 0
         if not self.root.exists():
@@ -701,12 +669,9 @@ def _install_lowered_hooks() -> None:
     With the store off, lowering still works — region tables are just
     rebuilt per process instead of loaded.
 
-    Since the codegen backend, the seam stores *kernel* artifacts
-    (KIND_KERNEL: extended region tables with generated sources, keyed
-    by module content × cost signature × codegen schema version).
-    ``load_lowered``/``save_lowered`` remain for classic region tables
-    written by older runs; ``repro cache clear --only lowered`` still
-    removes those.
+    The seam stores *kernel* artifacts (KIND_KERNEL: region tables
+    with generated sources, keyed by module content × cost signature ×
+    codegen schema version).
     """
     from repro.ir import lower
 

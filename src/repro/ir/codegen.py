@@ -8,26 +8,22 @@ unrolled into locals, constants inlined and folded with the exact
 rollback-chunk offset tables — and compiles it once per distinct source
 through a process-wide memo (:func:`compile_source`).
 
-Two families of kernels are generated:
-
-* **Classic regions** (PR 7): straight-line runs of pure ops, emitted as
-  the ``_trace``/``_clock``/``_plain`` triple and dispatched under the
-  ``OP_FUSED`` superop.
-* **Extended regions** (this module's reason to exist): superblock paths
-  that keep executing across *guarded conditional branches* (both sides
-  are lowered; the kernel validates the predicted direction at the
-  branch and exits to the other target when the guess misses — nothing
-  speculative has happened, so no replay is needed) and across *memory
-  operations* (epoch-private write-buffer hits execute entirely inside
-  the kernel against the run's store buffer; every other load/store is
-  executed in place through the engine's ``_exec_load``/``_exec_store``
-  under the exact horizon discipline of the tuple path).
-  Synchronization ops fuse the same way: ``wait``/``signal`` delegate
-  to the engine's channel machinery (a signal always ends the turn,
-  exactly like its tuple twin) and ``check`` runs fully inline.  These
-  are emitted as an ``_epoch``/``_seq`` pair and dispatched under
-  ``OP_FUSED2``; the lowering pass also plants *suffix kernels* — the
-  same shape, covering a path tail — at mid-path resume indices.
+Every region is a superblock path, emitted as an ``_epoch``/``_seq``
+kernel pair and dispatched under the ``OP_FUSED2`` superop.  A path
+keeps executing across *guarded conditional branches* (both sides are
+lowered; the kernel validates the predicted direction at the branch
+and exits to the other target when the guess misses — nothing
+speculative has happened, so no replay is needed) and across *memory
+operations* (epoch-private write-buffer hits execute entirely inside
+the kernel against the run's store buffer; every other load/store is
+executed in place through the engine's ``_exec_load``/``_exec_store``
+under the exact horizon discipline of the tuple path).
+Synchronization ops fuse the same way: ``wait``/``signal`` delegate to
+the engine's channel machinery (a signal always ends the turn, exactly
+like its tuple twin) and ``check`` runs fully inline.  A straight-line
+pure run is the degenerate path — one span, no guards and no sites.
+The lowering pass also plants *suffix kernels* — the same shape,
+covering a path tail — at mid-path resume indices.
 
 Exactness contract
 ------------------
@@ -43,7 +39,7 @@ Extended kernels are byte-identical twins of the engine's tuple loops
   faults observe exactly the tuple path's state.
 * Private segments append ``(base clock, offset table)`` rollback
   chunks; flattened they reproduce the per-op trace floats bit for bit
-  (dyadic-grid gate, see :mod:`repro.ir.kernels`).  Kernels never clear
+  (dyadic-grid gate, see :func:`repro.ir.lower.signature_exact`).  Kernels never clear
   the trace: entries at or below an executed shared op are strictly
   below any future squash cut (the shared op passed the horizon check,
   so every other run's future event — including any squashing store —
@@ -58,7 +54,6 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.ir import kernels
 from repro.ir.decode import (
     OP_BINOP,
     OP_CHECK,
@@ -154,6 +149,23 @@ def offsets_literal(offsets: Sequence[float]) -> str:
     return f"({inner})"
 
 
+def clock_offsets(dts: Sequence[float]) -> Tuple[List[float], float]:
+    """Per-op clock offsets and the region total for a run of charges.
+
+    ``offsets[k]`` is the clock of op ``k`` relative to the region
+    entry clock (op 0 starts at offset 0.0); the total is the whole
+    run's charge.  Lowering only runs on a dyadic cost grid, where
+    these sums match the tuple path's sequential accumulation bit for
+    bit (see :func:`repro.ir.lower.signature_exact`).
+    """
+    total = 0.0
+    offsets = []
+    for dt in dts:
+        offsets.append(total)
+        total += dt
+    return offsets, total
+
+
 # ---------------------------------------------------------------------------
 # the compile layer: one compile() per distinct source, process-wide
 # ---------------------------------------------------------------------------
@@ -215,12 +227,12 @@ def clear_memo() -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared expression state (classic + extended emitters)
+# expression state
 # ---------------------------------------------------------------------------
 
 
 class _ExprState:
-    """Register environment with constant folding (classic semantics)."""
+    """Register environment with constant folding."""
 
     def __init__(self):
         #: reg -> ("const", value) | ("var", local)
@@ -316,103 +328,6 @@ class _ExprState:
 
 
 # ---------------------------------------------------------------------------
-# classic regions (straight-line pure runs; OP_FUSED)
-# ---------------------------------------------------------------------------
-
-
-class ClassicSpec:
-    """Codegen result for one classic region."""
-
-    __slots__ = ("live_ins", "live_outs", "folded", "source")
-
-    def __init__(self, live_ins, live_outs, folded, source):
-        self.live_ins = live_ins
-        self.live_outs = live_outs
-        self.folded = folded
-        self.source = source
-
-
-def generate_classic(
-    ops: Sequence[tuple], start: int, end: int, name: str
-) -> ClassicSpec:
-    """Emit the classic ``_trace``/``_clock``/``_plain`` kernel triple.
-
-    The generated module defines ``{name}_trace(regs, trace, clock)``
-    (epoch path: appends one rollback chunk), ``{name}_clock(regs,
-    clock)`` (sequential path) and ``{name}_plain(regs)`` (untimed
-    interpreter path); the timed variants return the advanced clock.
-    """
-    state = _ExprState()
-    nodes: List[Tuple[str, str, Tuple[str, ...]]] = []
-
-    for k in range(start, end):
-        emitted = state.pure_expr(ops[k])
-        if emitted is not None:
-            nodes.append(emitted)
-
-    # Dead-node elimination: only values feeding a live-out (directly
-    # or transitively) execute; timing is precomputed, so skipping an
-    # unread intermediate is unobservable.
-    needed = {node[1] for node in state.env.values() if node[0] == "var"}
-    emitted_nodes: List[Tuple[str, str]] = []
-    for local, expr, deps in reversed(nodes):
-        if local in needed:
-            needed.update(deps)
-            emitted_nodes.append((local, expr))
-    emitted_nodes.reverse()
-
-    offsets, total = kernels.clock_offsets(
-        [ops[k][1] for k in range(start, end)]
-    )
-    # The rollback trace gets one *chunk* — (base clock, offset table) —
-    # instead of n flat entries: only a squash ever reads the trace, so
-    # the engine flattens chunks lazily (base + off, the exact floats a
-    # per-op append would have produced) and committed work never pays
-    # the per-op trace cost at all.
-    off_lit = offsets_literal(offsets)
-    ret = "clock" if total == 0.0 else f"clock + {total!r}"
-
-    reads = [
-        f"    {local} = regs[{reg!r}]"
-        for reg, local in state.live_ins.items()
-    ]
-    body = [f"    {local} = {expr}" for local, expr in emitted_nodes]
-    writes = [
-        f"    regs[{reg!r}] = {state.render(node)}"
-        for reg, node in state.env.items()
-    ]
-    if not (reads or body or writes):
-        reads = ["    pass"]
-
-    lines: List[str] = []
-    lines.append(f"def {name}_trace(regs, trace, clock):")
-    lines.extend(reads)
-    lines.append(f"    trace.append((clock, {off_lit}))")
-    lines.extend(body)
-    lines.extend(writes)
-    lines.append(f"    return {ret}")
-    lines.append("")
-    lines.append(f"def {name}_clock(regs, clock):")
-    lines.extend(reads)
-    lines.extend(body)
-    lines.extend(writes)
-    lines.append(f"    return {ret}")
-    lines.append("")
-    lines.append(f"def {name}_plain(regs):")
-    lines.extend(reads)
-    lines.extend(body)
-    lines.extend(writes)
-    lines.append("")
-
-    return ClassicSpec(
-        live_ins=list(state.live_ins),
-        live_outs=list(state.env),
-        folded=state.folded,
-        source="\n".join(lines),
-    )
-
-
-# ---------------------------------------------------------------------------
 # extended regions (superblock paths; OP_FUSED2)
 # ---------------------------------------------------------------------------
 
@@ -498,7 +413,7 @@ class _PathEmitter:
         """Close the pending private segment: chunk, clock, busy."""
         if not self.pend:
             return
-        offsets, total = kernels.clock_offsets(self.pend)
+        offsets, total = clock_offsets(self.pend)
         if self.mode == "epoch":
             self.emit(
                 f"trace.append((clock, {offsets_literal(offsets)}))"

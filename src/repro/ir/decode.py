@@ -66,19 +66,15 @@ from repro.ir.operands import GlobalRef, Imm, Reg
 # free-running turn loop relies on this layout: ``code <= OP_CONDBR``
 # means "no other epoch can observe this instruction".
 # Negative opcode reserved for the vector backend's fused superops
-# (see repro.ir.lower): ``code < 0`` dispatches before every ordinary
-# comparison, and the superop tuple carries the original head op so the
-# engines can fall back to per-op execution mid-region.  Layout:
-# ``(OP_FUSED, total_dt, head_op, fn_trace, fn_clock, n, fn_plain,
-# region)``.
-OP_FUSED = -1
-
-# Extended superblock superop (see repro.ir.codegen): a generated
-# kernel that keeps executing across guarded branches and memory ops.
+# (see repro.ir.lower and repro.ir.codegen): ``code < 0`` dispatches
+# before every ordinary comparison.  A generated kernel pair keeps
+# executing across guarded branches, memory and synchronization ops.
 # Layout: ``(OP_FUSED2, 0.0, head_op, fn_epoch, fn_seq, n, instrs,
-# region)`` — slots 2 and 5 mirror OP_FUSED (fallback head op, static
-# op count); ``instrs`` holds the Instr records of the path's
-# loads/stores in order (the kernels index it for engine delegation).
+# region)`` — ``head_op`` is the original tuple at the region head (the
+# engines fall back to it for per-op execution), ``n`` the static op
+# count; ``instrs`` holds the Instr records of the path's loads,
+# stores, waits and signals in order (the kernels index it for engine
+# delegation).
 OP_FUSED2 = -2
 
 OP_CONST = 0
@@ -107,14 +103,6 @@ PURE_OPCODES = frozenset(
 #: Largest opcode that touches no shared state (registers, clock,
 #: frames and branch targets only) — see the layout comment above.
 MAX_PRIVATE_OPCODE = OP_CONDBR
-
-#: Opcodes the vector backend may fuse into straight-line superops:
-#: pure, non-faulting, and independent of the forwarding flag.
-#: OP_SELECT and OP_RESUME (read or clear the forwarding flag) break
-#: regions even though they are pure; OP_DIVMOD (zero-divisor fault)
-#: is not in this set but fuses when its divisor is a nonzero
-#: constant (operand-dependent — see repro.ir.lower._fusible_op).
-FUSIBLE_OPCODES = frozenset((OP_CONST, OP_MOVE, OP_BINOP, OP_UNOP))
 
 
 class DecodeError(Exception):

@@ -23,14 +23,6 @@ Two execution paths produce identical results: the *slow path* walks
 path* (``fast_path=True``) runs the one-time-decoded tuple form from
 :mod:`repro.ir.decode`.  Hook callbacks, step counts, region events and
 error behaviour are preserved exactly.
-
-On the fast path, ``backend="vector"`` additionally dispatches fused
-straight-line regions (see :mod:`repro.ir.lower`) through generated
-kernels — the same region table the TLS engine uses — and falls back
-to per-tuple dispatch around fuel exhaustion, undefined registers and
-whenever per-instruction hooks are installed (``on_instruction`` must
-see every dynamic instruction).  Results, step counts and errors stay
-byte-identical to the tuple backend.
 """
 
 from __future__ import annotations
@@ -47,7 +39,6 @@ from repro.ir.decode import (
     OP_CONDBR,
     OP_CONST,
     OP_DIVMOD,
-    OP_FUSED,
     OP_JUMP,
     OP_LOAD,
     OP_MOVE,
@@ -182,20 +173,11 @@ class Interpreter:
         hooks: Optional[Hooks] = None,
         fuel: int = 50_000_000,
         fast_path: bool = True,
-        backend: str = "tuples",
     ):
-        if backend not in ("tuples", "vector"):
-            raise InterpreterError(
-                f"unknown backend {backend!r}; "
-                "valid backends: 'tuples', 'vector'"
-            )
         self.module = module
         self.hooks = hooks or Hooks()
         self.fuel = fuel
         self.fast_path = fast_path
-        self.backend = backend
-        #: dynamic instructions executed inside fused regions (vector)
-        self.fused_instructions = 0
         self.memory = MemoryImage(module)
         self._decoded: Optional[DecodedProgram] = None
         #: handle -> call-stack tuple, filled by context-handle runs.
@@ -469,20 +451,6 @@ class Interpreter:
         if self._decoded is None:
             self._decoded = DecodedProgram(module, memory.addr_of)
         dprog = self._decoded
-        if self.backend == "vector" and not fire_instr:
-            # Per-instruction hooks must see every dynamic instruction,
-            # so fused dispatch only engages without them.  on_load /
-            # on_store are unaffected: fused regions contain no memory
-            # instructions.
-            from repro.ir import lower as lower_mod
-
-            lowered = lower_mod.lowered_for(dprog, None)
-            if lowered is not None:
-                dprog = lowered
-            else:
-                lower_mod.note_backend_fallback(
-                    lower_mod.unavailable_reason() or "unavailable"
-                )
         loop_blocks = self._loop_blocks
         fuel = self.fuel
         frames = self._entry_frames(function, args)
@@ -551,35 +519,6 @@ class Interpreter:
                         )
                     op = ops[i]
                     code = op[0]
-                    if code < 0:
-                        # Fused superop (vector backend).  The fuel
-                        # pre-check is exact: the region charges one
-                        # step per member op, so running it may not
-                        # overshoot the budget — near exhaustion fall
-                        # back to per-op dispatch so the error fires at
-                        # precisely the right step.  A KeyError means a
-                        # live-in register is undefined; replaying the
-                        # region per-op reproduces the tuple backend's
-                        # diagnostic exactly.  Extended superops
-                        # (OP_FUSED2) never reach the interpreter —
-                        # ``lowered_for(..., None)`` emits classic
-                        # regions only — but fall back to the head op
-                        # rather than misread their layout if one does.
-                        k = op[5]
-                        if code == OP_FUSED and steps + k <= fuel:
-                            try:
-                                op[6](regs)
-                            except KeyError:
-                                op = op[2]
-                                code = op[0]
-                            else:
-                                steps += k
-                                i += k
-                                self.fused_instructions += k
-                                continue
-                        else:
-                            op = op[2]
-                            code = op[0]
                     steps += 1
                     if steps > fuel:
                         raise InterpreterError(f"fuel exhausted after {steps} steps")
@@ -770,9 +709,8 @@ def run_module(
     hooks: Optional[Hooks] = None,
     fuel: int = 50_000_000,
     fast_path: bool = True,
-    backend: str = "tuples",
 ) -> RunResult:
     """Convenience wrapper: interpret ``module`` from ``main``."""
     return Interpreter(
-        module, hooks=hooks, fuel=fuel, fast_path=fast_path, backend=backend
+        module, hooks=hooks, fuel=fuel, fast_path=fast_path
     ).run()

@@ -5,55 +5,45 @@ instruction; profiling shows that per-op loop — tuple indexing, dict
 reads, an evalops call, a trace append and a float add per instruction
 — is the remaining wall.  This pass runs once per compiled program: it
 segments each decoded block's opcode column into fused regions and
-lowers every region to one **fused superop** executed by a generated,
-compiled kernel (source emission and compilation live in
-:mod:`repro.ir.codegen`).
+lowers every region to one **fused superop** (``OP_FUSED2``) executed
+by a generated, compiled kernel pair (source emission and compilation
+live in :mod:`repro.ir.codegen`).
 
-Two region families are formed:
-
-* **Classic regions** (``OP_FUSED``): maximal straight-line *private*
-  runs (no loads/stores, no synchronization, no side exits, no
-  faulting ops), exactly as PR 7 shipped them.
-* **Extended regions** (``OP_FUSED2``): superblock paths that also
-  fuse ``select``/``resume``, loads, stores, synchronization ops
-  (``wait``/``signal``/``check``) and terminators.  A path starts at
-  an extended-fusible run, and when the run reaches its block's
-  ``jump``/``condbr`` terminator the path *chains* into the predicted
-  successor block's fusible prefix (true target first, falling back to
-  the false target when the true one is already on the path), up to
-  :data:`MAX_SPANS` blocks.  Conditional branches inside the path are
-  *guarded*: the kernel evaluates the real condition and exits to the
-  other target when the prediction misses — by then the branch itself
-  has executed and nothing past it has, so the engine simply resumes
-  per-op at the actual target.  Memory ops execute in-kernel against
-  the run's own write buffer when the address hits it (the
-  epoch-private fast case) and delegate to the engine's
-  ``_exec_load``/``_exec_store`` otherwise, under the exact horizon
-  discipline of the tuple path; ``wait``/``signal`` delegate to the
-  channel machinery the same way and ``check`` runs fully inline.
-  Because the epoch engine can end a turn at (or just past) any such
-  site, lowering additionally plants **suffix kernels** — ordinary
-  extended superops covering the path tail — at every mid-path resume
-  index, so the next turn re-enters fused execution instead of
-  replaying the remainder per-op (see :func:`_suffix_spans`).
+One region family is formed: **superblock paths**.  A path starts at
+a maximal run of fusible ops, and when the run reaches its block's
+``jump``/``condbr`` terminator the path *chains* into the predicted
+successor block's fusible prefix (true target first, falling back to
+the false target when the true one is already on the path), up to
+:data:`MAX_SPANS` blocks.  A straight-line pure run is simply the
+degenerate path: one span, no guards and no sites.  Conditional
+branches inside a path are *guarded*: the kernel evaluates the real
+condition and exits to the other target when the prediction misses —
+by then the branch itself has executed and nothing past it has, so the
+engine simply resumes per-op at the actual target.  Memory ops execute
+in-kernel against the run's own write buffer when the address hits it
+(the epoch-private fast case) and delegate to the engine's
+``_exec_load``/``_exec_store`` otherwise, under the exact horizon
+discipline of the tuple path; ``wait``/``signal`` delegate to the
+channel machinery the same way and ``check`` runs fully inline.
+Because the epoch engine can end a turn at (or just past) any such
+site, lowering additionally plants **suffix kernels** — ordinary
+superops covering the path tail — at every mid-path resume index, so
+the next turn re-enters fused execution instead of replaying the
+remainder per-op (see :func:`_suffix_spans`).
 
 Lowering rules
 --------------
 
-* ``OP_CONST``/``OP_MOVE``/``OP_BINOP``/``OP_UNOP`` fuse: they touch
-  nothing but the run's own registers and clock.  ``OP_DIVMOD`` fuses
-  *only* with a nonzero constant divisor (then it cannot fault or
-  park); with a register divisor it breaks a region, as do
-  ``OP_CALL``/``OP_RET`` (frame churn) and ``OP_ALLOC`` (an epoch-path
-  error).  ``wait``/``signal``/``check`` fuse into *extended* regions
-  only (delegated or inlined shared sites); they still break classic
-  regions.
+* Every opcode fuses except ``OP_CALL``/``OP_RET`` (frame churn) and
+  ``OP_ALLOC`` (an epoch-path error).  ``OP_DIVMOD`` fuses *only* with
+  a nonzero constant divisor (then it cannot fault or park); with a
+  register divisor it breaks a region.
 * A region reads all its live-in registers *before mutating anything*,
-  so an undefined register leaves the machine state untouched (classic
-  kernels raise ``KeyError``; extended kernels return ``None``); the
-  engine then re-executes the region through the ordinary tuple ops to
-  reproduce the tuple path's exact per-op behaviour (partial
-  application, horizon deferral, error text).
+  so an undefined register leaves the machine state untouched (the
+  kernel returns ``None``); the engine then re-executes the region
+  through the ordinary tuple ops to reproduce the tuple path's exact
+  per-op behaviour (partial application, horizon deferral, error
+  text).
 * Per-op clock charges are pre-summed into offset tables so kernels
   extend the rollback trace with ``(base, offsets)`` chunks.  This is
   bit-identical to sequential accumulation only on a dyadic cost grid
@@ -64,48 +54,39 @@ Lowering rules
   ``evalops`` callables, so wrapping semantics match exactly); folded
   ops still charge their clock slots — timing never changes.
 * In the lowered ops list a superop replaces only the region *head*;
-  interior indices keep their original tuples, and classic superops at
-  pure-run heads interior to an extended region survive so per-op
-  resumption after a mid-region bail still fuses the tail.  Squash
-  rollback needs no special casing: trace chunks flatten to the exact
-  per-op floats, while parks and faults resume *inside* a region at an
-  ordinary tuple op.
+  interior indices keep their original tuples.  Squash rollback needs
+  no special casing: trace chunks flatten to the exact per-op floats,
+  while parks and faults resume *inside* a region at an ordinary tuple
+  op (or at the suffix kernel planted there).
 
-The per-region :class:`Region` / :class:`ExtRegion` records keep the
-register-delta footprint (live-ins read, live-outs written), the
-generated source and fold statistics — used for fallback execution,
-artifact persistence (see :mod:`repro.ir.serialize`) and ``repro bench
+The per-region :class:`ExtRegion` records keep the register-delta
+footprint (live-ins read, live-outs written), the generated source and
+fold statistics — used for artifact persistence and ``repro bench
 --opstats``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.ir import codegen, kernels
+from repro.ir import codegen
 from repro.ir.decode import (
-    FUSIBLE_OPCODES,
-    OP_CHECK,
+    OP_ALLOC,
+    OP_CALL,
     OP_CONDBR,
-    OP_CONST,
     OP_DIVMOD,
-    OP_FUSED,
     OP_FUSED2,
     OP_JUMP,
-    OP_LOAD,
-    OP_RESUME,
-    OP_SELECT,
-    OP_SIGNAL,
-    OP_STORE,
-    OP_WAIT,
+    OP_RET,
     DecodedProgram,
 )
 
 #: Bump when the generated-kernel ABI or state layout changes.
 #: (2: extended superblock regions + codegen'd kernel persistence.
-#:  3: wait/signal/check fusion + suffix kernels at resume points.)
-LOWER_SCHEMA_VERSION = 3
+#:  3: wait/signal/check fusion + suffix kernels at resume points.
+#:  4: one region family — straight pure runs lower to one-span
+#:     extended kernels; tables holding classic entries relower.)
+LOWER_SCHEMA_VERSION = 4
 
 #: Shortest run worth fusing: a superop costs one dispatch plus one
 #: kernel call, which beats per-op dispatch from two ops up (measured;
@@ -117,11 +98,6 @@ MIN_REGION_LEN = 2
 #: generated-source size; eight covers every hot loop body in the
 #: workload suite.
 MAX_SPANS = 8
-
-#: Environment escape hatch: set to any value to disable extended
-#: codegen (classic fused regions only) — the middle row of the
-#: fallback matrix in docs/simulator.md.
-NO_CODEGEN_ENV = "REPRO_NO_CODEGEN"
 
 #: Valid ``SimConfig.backend`` values (referenced by config validation).
 BACKENDS = ("tuples", "vector")
@@ -137,8 +113,6 @@ class LowerError(Exception):
 # test-suite and any external callers)
 # ---------------------------------------------------------------------------
 
-_SIGN = codegen.SIGN
-_MODULUS_MASK = codegen.MODULUS_MASK
 _wrap_expr = codegen.wrap_expr
 _BINOP_TEMPLATES = codegen.BINOP_TEMPLATES
 _UNOP_TEMPLATES = codegen.UNOP_TEMPLATES
@@ -146,83 +120,41 @@ _atom = codegen.atom
 _trunc_div_expr = codegen.trunc_div_expr
 
 
-def _fusible_op(op: tuple) -> bool:
-    """Whether one decoded tuple may live inside a *classic* region.
+#: Region breakers: frame churn and an epoch-path error.
+_BREAKER_OPCODES = frozenset((OP_CALL, OP_RET, OP_ALLOC))
 
-    Extends the code-only :data:`FUSIBLE_OPCODES` set with the
-    operand-dependent case: a ``div``/``mod`` whose divisor is a
-    nonzero *constant* cannot fault or park, so it is as pure as any
-    ``OP_BINOP``.
+
+def _fusible_op(op: tuple) -> bool:
+    """Whether one decoded tuple may live inside a region.
+
+    A ``div``/``mod`` fuses only when its divisor is a nonzero
+    *constant*: then it cannot fault or park.
     """
     code = op[0]
-    if code in FUSIBLE_OPCODES:
-        return True
-    return code == OP_DIVMOD and type(op[6]) is int and op[6] != 0
+    if code == OP_DIVMOD:
+        return type(op[6]) is int and op[6] != 0
+    return code not in _BREAKER_OPCODES
 
 
-#: Opcodes only the extended fuser accepts (on top of the classic set):
-#: forwarding-flag readers, memory ops, synchronization ops and
-#: in-function terminators.  ``OP_CALL``/``OP_RET`` (frame churn) and
-#: ``OP_ALLOC`` (an epoch-path error) stay region breakers.
-_EXT_ONLY_OPCODES = frozenset(
-    (OP_SELECT, OP_RESUME, OP_LOAD, OP_STORE, OP_WAIT, OP_SIGNAL,
-     OP_CHECK, OP_JUMP, OP_CONDBR)
-)
-
-
-def _ext_fusible_op(op: tuple) -> bool:
-    """Whether one decoded tuple may live inside an *extended* region."""
-    code = op[0]
-    if code in FUSIBLE_OPCODES or code in _EXT_ONLY_OPCODES:
-        return True
-    return code == OP_DIVMOD and type(op[6]) is int and op[6] != 0
+def _fusible_runs(ops: Sequence[tuple]) -> List[Tuple[int, int]]:
+    """Maximal runs ``[start, end)`` of fusible ops in one block."""
+    runs: List[Tuple[int, int]] = []
+    start: Optional[int] = None
+    for i, op in enumerate(ops):
+        if _fusible_op(op):
+            if start is None:
+                start = i
+        elif start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(ops)))
+    return runs
 
 
 # ---------------------------------------------------------------------------
 # region records
 # ---------------------------------------------------------------------------
-
-
-class Region:
-    """Metadata for one classic fused superop (register-delta record)."""
-
-    __slots__ = ("start", "length", "live_ins", "live_outs", "folded",
-                 "name", "source")
-
-    kind = "classic"
-
-    def __init__(self, start: int, length: int, live_ins: List[str],
-                 live_outs: List[str], folded: int, name: str, source: str):
-        self.start = start
-        self.length = length
-        self.live_ins = live_ins
-        self.live_outs = live_outs
-        self.folded = folded
-        self.name = name
-        self.source = source
-
-    def to_state(self) -> Dict:
-        return {
-            "start": self.start,
-            "n": self.length,
-            "live_ins": list(self.live_ins),
-            "live_outs": list(self.live_outs),
-            "folded": self.folded,
-            "name": self.name,
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "Region":
-        return cls(
-            start=state["start"],
-            length=state["n"],
-            live_ins=list(state["live_ins"]),
-            live_outs=list(state["live_outs"]),
-            folded=state["folded"],
-            name=state["name"],
-            source=state["source"],
-        )
 
 
 class ExtRegion:
@@ -237,8 +169,6 @@ class ExtRegion:
 
     __slots__ = ("spans", "length", "live_ins", "live_outs", "folded",
                  "name", "source")
-
-    kind = "ext"
 
     def __init__(self, spans: List[Tuple[str, int, int]], length: int,
                  live_ins: List[str], live_outs: List[str], folded: int,
@@ -283,71 +213,18 @@ class ExtRegion:
         )
 
 
-def _generate_region(
-    ops: Sequence[tuple], start: int, end: int, name: str
-) -> Region:
-    """Analyze ops[start:end] and emit the classic kernel triple.
-
-    The generated module defines ``{name}_trace(regs, trace, clock)``
-    (epoch path: appends one rollback chunk), ``{name}_clock(regs,
-    clock)`` (sequential path) and ``{name}_plain(regs)`` (untimed
-    interpreter path); the timed variants return the advanced clock.
-    """
-    spec = codegen.generate_classic(ops, start, end, name)
-    return Region(
-        start=start,
-        length=end - start,
-        live_ins=spec.live_ins,
-        live_outs=spec.live_outs,
-        folded=spec.folded,
-        name=name,
-        source=spec.source,
-    )
-
-
-def _compile_regions(
-    regions: Sequence[Region], where: str
-) -> Dict[str, Callable]:
-    """Compile the regions' generated source (memoized per source)."""
-    source = "\n".join(region.source for region in regions)
-    return codegen.compile_source(source, where)
-
-
-def _superop(ops: Sequence[tuple], region: Region,
-             namespace: Dict[str, Callable]) -> tuple:
-    """Build the fused dispatch tuple for one compiled classic region.
-
-    Layout: ``(OP_FUSED, total_dt, head_op, fn_trace, fn_clock, n,
-    fn_plain, region)``.  ``head_op`` is the original tuple at the
-    region head — the engines re-dispatch it (and then continue per-op
-    through the untouched interior tuples) whenever the kernel cannot
-    run atomically (step-limit crossing or missing live-in).
-    """
-    start = region.start
-    _, total = kernels.clock_offsets(
-        [ops[k][1] for k in range(start, start + region.length)]
-    )
-    return (
-        OP_FUSED,
-        total,
-        ops[start],
-        namespace[f"{region.name}_trace"],
-        namespace[f"{region.name}_clock"],
-        region.length,
-        namespace[f"{region.name}_plain"],
-        region,
-    )
-
-
 def _ext_superop(blocks: Dict[str, object], region: ExtRegion,
                  namespace: Dict[str, Callable]) -> tuple:
     """Build the extended dispatch tuple for one compiled region.
 
     Layout: ``(OP_FUSED2, 0.0, head_op, fn_epoch, fn_seq, n, instrs,
-    region)`` — slots 2 and 5 mirror ``OP_FUSED`` so both engines share
-    the fallback/step-guard shape; ``instrs`` carries the Instr records
-    of the path's loads, stores, waits and signals in order for engine
-    delegation.
+    region)``.  ``head_op`` is the original tuple at the region head —
+    the engines re-dispatch it (and then continue per-op through the
+    untouched interior tuples) whenever the kernel cannot run (step
+    limit crossing, missing live-in, zero-progress bail); ``n`` is the
+    static op count for the step guards; ``instrs`` carries the Instr
+    records of the path's loads, stores, waits and signals in order for
+    engine delegation.
     """
     home_label, start, _ = region.spans[0]
     instrs = []
@@ -479,7 +356,7 @@ def _validate_ext_region(dfunc, fname: str, label: str,
         if dblock is None or not (0 <= start < end <= len(dblock.ops)):
             raise bad()
         span_ops = dblock.ops[start:end]
-        if any(not _ext_fusible_op(op) for op in span_ops):
+        if any(not _fusible_op(op) for op in span_ops):
             raise bad()
         total += end - start
         if index + 1 < len(region.spans):
@@ -510,7 +387,7 @@ class LoweredBlock:
     __slots__ = ("ops", "chunk_end", "regions")
 
     def __init__(self, ops: List[tuple], chunk_end: List[int],
-                 regions: List[object]):
+                 regions: List[ExtRegion]):
         self.ops = ops
         self.chunk_end = chunk_end
         self.regions = regions
@@ -529,9 +406,22 @@ class LoweredFunction:
         self.blocks = blocks
 
 
-def block_regions(block) -> Sequence[object]:
+def block_regions(block) -> Sequence[ExtRegion]:
     """The fused regions of a (lowered or plain decoded) block."""
     return getattr(block, "regions", ())
+
+
+def _lowered_block(dfunc, fname: str, label: str,
+                   regions: List[ExtRegion]) -> LoweredBlock:
+    """Compile ``regions`` and plant their superops in a block copy."""
+    dblock = dfunc.blocks[label]
+    ops = list(dblock.ops)
+    for region in regions:
+        namespace = codegen.compile_source(
+            region.source, f"{fname}:{label}:{region.name}"
+        )
+        ops[region.start] = _ext_superop(dfunc.blocks, region, namespace)
+    return LoweredBlock(ops, dblock.chunk_end, regions)
 
 
 class LoweredProgram:
@@ -539,18 +429,14 @@ class LoweredProgram:
 
     Exposes the same ``function()``/``block()`` surface the engines'
     hot loops use, so selecting the backend is just a matter of which
-    program object the dispatch loop walks.  ``extended`` adds the
-    superblock regions (engine callers only — the untimed interpreter
-    keeps classic regions, whose ``_plain`` kernels it can run);
-    ``issue_width`` parameterizes extended kernels' inline memory
-    charges and must match the engine config.
+    program object the dispatch loop walks.  ``issue_width``
+    parameterizes the kernels' inline memory charges and must match
+    the engine config.
     """
 
-    def __init__(self, decoded: DecodedProgram, extended: bool = False,
-                 issue_width: int = 1):
+    def __init__(self, decoded: DecodedProgram, issue_width: int = 1):
         self.decoded = decoded
         self.module = decoded.module
-        self.extended = extended
         self.issue_width = issue_width
         self._functions: Dict[str, LoweredFunction] = {}
 
@@ -576,7 +462,7 @@ class LoweredProgram:
 
     # -- stats ---------------------------------------------------------
 
-    def region_table(self) -> List[Tuple[str, str, object]]:
+    def region_table(self) -> List[Tuple[str, str, ExtRegion]]:
         """Every fused region as (function, label, region)."""
         table = []
         for name, function in sorted(self._functions.items()):
@@ -589,103 +475,41 @@ class LoweredProgram:
 
     def _lower_function(self, name: str) -> LoweredFunction:
         decoded = self.decoded.function(name)
-        blocks: Dict[str, object] = {}
-        counter = 0
-        xcounter = 0
-        ext_runs: Dict[str, List[Tuple[int, int]]] = {}
-        if self.extended:
-            # Operand-dependent fusibility folds into the code column
-            # before segmentation: every fusible op maps onto a
-            # sentinel member of the fusible set.
-            ext_runs = {
-                label: kernels.fusible_runs(
-                    [
-                        OP_CONST if _ext_fusible_op(op) else -99
-                        for op in dblock.ops
-                    ],
-                    FUSIBLE_OPCODES, 1,
-                )
-                for label, dblock in decoded.blocks.items()
-            }
-        # Extended regions form function-wide before any block's ops
-        # are rebuilt: a suffix kernel derived from one block's home
-        # path may need planting in a *chained* block.
-        ext_by_label: Dict[str, List[ExtRegion]] = {}
-        if self.extended:
-            home_spans: List[List[Tuple[str, int, int]]] = []
-            for label, dblock in decoded.blocks.items():
-                ops = dblock.ops
-                for start, end in ext_runs.get(label, ()):
-                    spans = _ext_spans(decoded, label, start, end, ext_runs)
-                    total = sum(e - s for _, s, e in spans)
-                    if total < MIN_REGION_LEN:
-                        continue
-                    if len(spans) == 1 and all(
-                        _fusible_op(ops[k]) for k in range(start, end)
-                    ):
-                        # A straight pure run: the classic kernel is
-                        # cheaper (no site machinery), leave it alone.
-                        continue
+        runs = {
+            label: _fusible_runs(dblock.ops)
+            for label, dblock in decoded.blocks.items()
+        }
+        # Regions form function-wide before any block's ops are
+        # rebuilt: a suffix kernel derived from one block's home path
+        # may need planting in a *chained* block.
+        home_spans: List[List[Tuple[str, int, int]]] = []
+        for label in decoded.blocks:
+            for start, end in runs[label]:
+                spans = _ext_spans(decoded, label, start, end, runs)
+                if sum(e - s for _, s, e in spans) >= MIN_REGION_LEN:
                     home_spans.append(spans)
-            for spans in home_spans + _suffix_spans(decoded, home_spans):
-                kname = f"_x{xcounter}"
-                xcounter += 1
-                spec = codegen.generate_extended(
-                    kname, name,
-                    [
-                        (slabel, decoded.blocks[slabel].ops, s, e)
-                        for slabel, s, e in spans
-                    ],
-                    self.issue_width,
-                )
-                ext_by_label.setdefault(spans[0][0], []).append(
-                    ExtRegion(
-                        spans=spans, length=spec.length,
-                        live_ins=spec.live_ins, live_outs=spec.live_outs,
-                        folded=spec.folded, name=kname, source=spec.source,
-                    )
-                )
-        for label, dblock in decoded.blocks.items():
-            ops = dblock.ops
-            runs = kernels.fusible_runs(
-                [OP_CONST if _fusible_op(op) else -99 for op in ops],
-                FUSIBLE_OPCODES, MIN_REGION_LEN,
+        by_label: Dict[str, List[ExtRegion]] = {}
+        all_spans = home_spans + _suffix_spans(decoded, home_spans)
+        for counter, spans in enumerate(all_spans):
+            kname = f"_x{counter}"
+            spec = codegen.generate_extended(
+                kname, name,
+                [
+                    (slabel, decoded.blocks[slabel].ops, s, e)
+                    for slabel, s, e in spans
+                ],
+                self.issue_width,
             )
-            ext_regions = ext_by_label.get(label, [])
-            # A classic region whose head an extended region owns would
-            # be unreachable — drop it.  (Heads can only collide
-            # exactly: extended runs are supersets of pure runs, so a
-            # pure-run start interior to an extended region is never an
-            # extended or suffix head.)  Interior classic superops
-            # survive for per-op resumption after mid-region bails.
-            ext_heads = {region.start for region in ext_regions}
-            regions: List[Region] = []
-            for start, end in runs:
-                if start in ext_heads:
-                    continue
-                regions.append(
-                    _generate_region(ops, start, end, f"_r{counter}")
+            by_label.setdefault(spans[0][0], []).append(
+                ExtRegion(
+                    spans=spans, length=spec.length,
+                    live_ins=spec.live_ins, live_outs=spec.live_outs,
+                    folded=spec.folded, name=kname, source=spec.source,
                 )
-                counter += 1
-            if not regions and not ext_regions:
-                blocks[label] = dblock
-                continue
-            new_ops = list(ops)
-            if regions:
-                namespace = _compile_regions(regions, f"{name}:{label}")
-                for region in regions:
-                    new_ops[region.start] = _superop(ops, region, namespace)
-            all_regions: List[object] = list(regions)
-            for region in ext_regions:
-                xnamespace = codegen.compile_source(
-                    region.source, f"{name}:{label}:{region.name}"
-                )
-                new_ops[region.start] = _ext_superop(
-                    decoded.blocks, region, xnamespace
-                )
-                all_regions.append(region)
-            blocks[label] = LoweredBlock(new_ops, dblock.chunk_end,
-                                         all_regions)
+            )
+        blocks: Dict[str, object] = dict(decoded.blocks)
+        for label, regions in by_label.items():
+            blocks[label] = _lowered_block(decoded, name, label, regions)
         return LoweredFunction(blocks)
 
     # -- persistence ---------------------------------------------------
@@ -703,7 +527,6 @@ class LoweredProgram:
                 functions[name] = labels
         return {
             "version": LOWER_SCHEMA_VERSION,
-            "extended": self.extended,
             "issue_width": self.issue_width,
             "functions": functions,
         }
@@ -713,7 +536,7 @@ class LoweredProgram:
         """Rebuild from stored region tables (skips re-analysis).
 
         Stored sources are re-compiled against the *current* decoded
-        ops; a region whose recorded span no longer matches fusible
+        ops; a region whose recorded spans no longer match fusible
         opcodes raises ``LowerError`` so callers can fall back to a
         fresh lowering.
         """
@@ -722,52 +545,15 @@ class LoweredProgram:
                 f"lowered-state version {state.get('version')!r} != "
                 f"{LOWER_SCHEMA_VERSION}"
             )
-        program = cls(
-            decoded,
-            extended=bool(state.get("extended", False)),
-            issue_width=int(state.get("issue_width", 1)),
-        )
+        program = cls(decoded, issue_width=int(state.get("issue_width", 1)))
         for name, labels in state["functions"].items():
             dfunc = decoded.function(name)
             blocks: Dict[str, object] = dict(dfunc.blocks)
             for label, region_states in labels.items():
-                dblock = dfunc.blocks[label]
-                ops = dblock.ops
-                regions: List[Region] = []
-                ext_regions: List[ExtRegion] = []
-                for rstate in region_states:
-                    if rstate.get("kind") == "ext":
-                        ext_regions.append(ExtRegion.from_state(rstate))
-                    else:
-                        regions.append(Region.from_state(rstate))
+                regions = [ExtRegion.from_state(r) for r in region_states]
                 for region in regions:
-                    span = ops[region.start:region.start + region.length]
-                    if len(span) != region.length or any(
-                        not _fusible_op(op) for op in span
-                    ):
-                        raise LowerError(
-                            f"stored region {name}:{label}@{region.start} "
-                            f"does not match the decoded program"
-                        )
-                for region in ext_regions:
                     _validate_ext_region(dfunc, name, label, region)
-                new_ops = list(ops)
-                if regions:
-                    namespace = _compile_regions(regions, f"{name}:{label}")
-                    for region in regions:
-                        new_ops[region.start] = _superop(
-                            ops, region, namespace
-                        )
-                for region in ext_regions:
-                    xnamespace = codegen.compile_source(
-                        region.source, f"{name}:{label}:{region.name}"
-                    )
-                    new_ops[region.start] = _ext_superop(
-                        dfunc.blocks, region, xnamespace
-                    )
-                blocks[label] = LoweredBlock(
-                    new_ops, dblock.chunk_end, regions + ext_regions
-                )
+                blocks[label] = _lowered_block(dfunc, name, label, regions)
             program._functions[name] = LoweredFunction(blocks)
         # Functions without any fusible region were not persisted:
         # lower them lazily (cheap: segmentation finds nothing).
@@ -794,15 +580,27 @@ def cost_signature(config) -> Tuple:
 
 
 def signature_exact(cost_sig: Sequence[float]) -> bool:
-    """Whether the cost model lives on a dyadic grid (see kernels)."""
-    return kernels.dyadic_exact(int(cost_sig[0]), cost_sig)
+    """Whether the cost model lives on a dyadic grid.
+
+    True iff the issue width (``cost_sig[0]``) is a power of two and
+    every field is integral.  Then every clock charge ``latency /
+    issue_width`` — and every partial sum of charges — is an integer
+    multiple of ``2**-log2(issue_width)``, float addition over that
+    grid is exact while magnitudes stay far below ``2**53 /
+    issue_width`` (step limits keep simulated clocks under ``~2**40``),
+    and *any* association order yields the same bits.  That is what
+    makes the kernels' pre-summed offset tables byte-identical to the
+    tuple path's sequential accumulation.
+    """
+    width = int(cost_sig[0])
+    if width < 1 or width & (width - 1):
+        return False
+    return all(float(value).is_integer() for value in cost_sig)
 
 
-def unavailable_reason(config=None) -> Optional[str]:
-    """Why the vector backend cannot run here, or None when it can."""
-    if not kernels.HAVE_NUMPY:
-        return "numpy unavailable"
-    if config is not None and not signature_exact(cost_signature(config)):
+def unavailable_reason(config) -> Optional[str]:
+    """Why the vector backend cannot run ``config``, or None when it can."""
+    if not signature_exact(cost_signature(config)):
         return (
             "cost model off the dyadic grid (non-integral latency or "
             "non-power-of-two issue width)"
@@ -810,16 +608,11 @@ def unavailable_reason(config=None) -> Optional[str]:
     return None
 
 
-def codegen_enabled() -> bool:
-    """Whether extended (superblock) codegen is enabled here."""
-    return not os.environ.get(NO_CODEGEN_ENV)
-
-
-#: Module attribute holding ``(token, {(cost_sig, extended): program})``.
+#: Module attribute holding ``(token, {cost_sig: program})``.
 _MODULE_CACHE_ATTR = "_repro_lowered_cache"
 
 #: Installed by repro.experiments.artifacts: (load, save) callables
-#: keyed on (module, cost_sig) — see artifacts.install_lowered_store().
+#: keyed on (module, cost_sig) — see artifacts._install_lowered_hooks().
 _persistence: Optional[Tuple[Callable, Callable]] = None
 
 
@@ -844,59 +637,45 @@ def _module_token(module) -> Tuple[int, int]:
 def lowered_for(decoded: DecodedProgram, config) -> Optional[LoweredProgram]:
     """The (memoized, persisted) lowered program for an engine.
 
-    Returns None when the backend is unavailable (no numpy, or a cost
-    model the exactness gate rejects) — callers fall back to the tuple
-    path.  Hits come from, in order: the per-module in-process memo
-    (validated by a content token, since compiler passes may mutate
-    modules in place), then the artifact store via the installed
-    persistence hooks; misses lower eagerly and persist.
-
-    ``config=None`` serves untimed callers (the IR interpreter decodes
-    with zero dts): the memo entry lives under a ``None`` key and the
-    artifact store is skipped, since persisted region tables are keyed
-    by an engine cost signature.  Engine callers get extended
-    (superblock) regions unless :data:`NO_CODEGEN_ENV` disables them —
-    then classic regions only, also without persistence (the kernel
-    store holds full extended tables).
+    Returns None when the cost model fails the exactness gate — callers
+    fall back to the tuple path.  Hits come from, in order: the
+    per-module in-process memo (validated by a content token, since
+    compiler passes may mutate modules in place), then the artifact
+    store via the installed persistence hooks; misses lower eagerly and
+    persist.  A stored table that is stale, corrupt or written under
+    another :data:`LOWER_SCHEMA_VERSION` is relowered and overwritten.
     """
     if unavailable_reason(config) is not None:
         return None
     module = decoded.module
-    cost_sig = None if config is None else cost_signature(config)
-    extended = cost_sig is not None and codegen_enabled()
-    issue_width = 1 if config is None else int(config.issue_width)
-    memo_key = (cost_sig, extended)
+    cost_sig = cost_signature(config)
+    issue_width = int(config.issue_width)
     token = _module_token(module)
     cached = getattr(module, _MODULE_CACHE_ATTR, None)
     if cached is not None and cached[0] == token:
-        program = cached[1].get(memo_key)
+        program = cached[1].get(cost_sig)
         if program is not None:
             return program
     else:
         cached = (token, {})
         setattr(module, _MODULE_CACHE_ATTR, cached)
     program = None
-    persist = _persistence is not None and cost_sig is not None and extended
-    if persist:
+    if _persistence is not None:
         state = _persistence[0](module, cost_sig)
         if state is not None:
             try:
                 program = LoweredProgram.from_state(decoded, state)
-                if (program.extended, program.issue_width) != (
-                    extended, issue_width
-                ):
+                if program.issue_width != issue_width:
                     program = None
                 else:
                     program.lower_all()
             except (LowerError, KeyError, TypeError, SyntaxError):
                 program = None  # stale/corrupt entry: relower
     if program is None:
-        program = LoweredProgram(
-            decoded, extended=extended, issue_width=issue_width
-        ).lower_all()
-        if persist:
+        program = LoweredProgram(decoded, issue_width=issue_width).lower_all()
+        if _persistence is not None:
             _persistence[1](module, cost_sig, program.to_state())
-    cached[1][memo_key] = program
+    cached[1][cost_sig] = program
     return program
 
 
@@ -938,44 +717,29 @@ def program_opstats(program) -> Dict:
     once per region that fuses them).
     """
     decoded = getattr(program, "decoded", program)
-    codes: List[int] = []
+    counts = [0] * len(OPCODE_NAMES)
     region_lengths: List[int] = []
-    fused_static = 0
     folded = 0
-    ext_regions = 0
-    ext_spans = 0
+    spans = 0
     for name in decoded.module.functions:
         function = program.function(name)
         for label in sorted(function.blocks):
-            block = function.blocks[label]
-            regions = block_regions(block)
-            base = getattr(block, "ops", None)
-            if regions:
-                # Count original opcodes, not the superop placeholder.
-                source = decoded.block(name, label).ops
-            else:
-                source = base
-            codes.extend(op[0] for op in source)
-            for region in regions:
+            # Count original opcodes, not the superop placeholders.
+            for op in decoded.block(name, label).ops:
+                counts[op[0]] += 1
+            for region in block_regions(function.blocks[label]):
                 region_lengths.append(region.length)
-                fused_static += region.length
                 folded += region.folded
-                if getattr(region, "kind", "classic") == "ext":
-                    ext_regions += 1
-                    ext_spans += len(region.spans)
+                spans += len(region.spans)
     return {
         "opcodes": {
-            OPCODE_NAMES[i]: count
-            for i, count in enumerate(
-                kernels.opcode_histogram(codes, len(OPCODE_NAMES))
-            )
-            if count
+            OPCODE_NAMES[i]: count for i, count in enumerate(counts) if count
         },
-        "static_instructions": len(codes),
+        "static_instructions": sum(counts),
         "regions": len(region_lengths),
         "region_lengths": region_lengths,
-        "fused_static": fused_static,
+        "fused_static": sum(region_lengths),
         "folded_ops": folded,
-        "ext_regions": ext_regions,
-        "ext_spans": ext_spans,
+        "ext_regions": len(region_lengths),
+        "ext_spans": spans,
     }

@@ -233,8 +233,8 @@ def module_to_state(module: Module) -> Dict:
 def module_content_hash(module: Module) -> str:
     """Stable content hash of a module's serialized form.
 
-    The artifact store keys lowered region tables and codegen'd kernel
-    tables (vector backend) on this: unlike the compiled-workload key,
+    The artifact store keys codegen'd kernel tables (vector backend)
+    on this: unlike the compiled-workload key,
     a region table depends on the *exact* instruction stream of one
     module, including iids.
     """
@@ -245,33 +245,6 @@ def module_content_hash(module: Module) -> str:
         module_to_state(module), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def lowered_to_state(program) -> Dict:
-    """Encode a lowered region table (vector backend) as JSON state.
-
-    Delegates to :meth:`repro.ir.lower.LoweredProgram.to_state`: the
-    payload carries the generated kernel sources plus enough region
-    metadata (span, live-outs, clock offsets) to revalidate against
-    the decoded program on load.  Since LOWER_SCHEMA_VERSION 2 it also
-    carries extended superblock regions — spans across guarded
-    branches and private memory ops, with their generated epoch/seq
-    kernel sources — which recompile on load (no relowering).
-    """
-    return program.to_state()
-
-
-def lowered_from_state(decoded, state: Dict):
-    """Inverse of :func:`lowered_to_state`; raises on stale tables.
-
-    ``decoded`` is the :class:`~repro.ir.decode.DecodedProgram` the
-    regions must match; a mismatch (module changed since the table was
-    stored) raises ``repro.ir.lower.LowerError`` so callers can fall
-    back to a fresh lowering.
-    """
-    from repro.ir.lower import LoweredProgram
-
-    return LoweredProgram.from_state(decoded, state)
 
 
 def module_from_state(state: Dict) -> Module:

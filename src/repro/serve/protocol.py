@@ -51,7 +51,8 @@ class JobRequest:
 
     ``backend`` selects the simulator execution backend (byte-identical
     results either way; ``vector`` dispatches fused regions and falls
-    back to ``tuples`` when numpy is unavailable).
+    back to ``tuples`` when the machine's cost model is off the dyadic
+    grid the kernels need).
 
     ``machine`` carries per-job machine-model overrides — a JSON
     object mapping :data:`repro.tlssim.config.MACHINE_FIELDS` names

@@ -246,7 +246,7 @@ class SimConfig:
     #: Execution backend for the decoded fast path: ``"tuples"`` (the
     #: reference per-op dispatch loop) or ``"vector"`` (region-lowered
     #: fused superops, see ``repro.ir.lower``; falls back to tuples when
-    #: numpy is missing or the cost model fails the exactness gate).
+    #: the cost model fails the exactness gate).
     #: Byte-identical results either way; requires ``fast_path=True``
     #: to have any effect.
     backend: str = "tuples"

@@ -55,7 +55,6 @@ from repro.ir.decode import (
     OP_CONDBR,
     OP_CONST,
     OP_DIVMOD,
-    OP_FUSED,
     OP_JUMP,
     OP_LOAD,
     OP_MOVE,
@@ -615,37 +614,23 @@ class TLSEngine:
                         op = ops[i]
                         code = op[0]
                         if code < 0:
-                            # Fused region head (vector backend).  The
-                            # kernel runs the whole region atomically
-                            # when fuel allows and every live-in is
-                            # defined; otherwise re-dispatch the
-                            # original head op (interior indices hold
-                            # the original tuples) so faults and fuel
-                            # exhaustion replay the tuple path exactly.
+                            # Fused region head (vector backend): an
+                            # OP_FUSED2 superblock kernel.  When fuel
+                            # could run out inside the region, re-
+                            # dispatch the original head op (interior
+                            # indices hold the original tuples) so fuel
+                            # exhaustion replays the tuple path exactly.
+                            # The kernel returns None on a missing
+                            # live-in, or (label, index, clock,
+                            # executed) — the resume point after running
+                            # as much of the path as its guards allowed.
+                            # With zero ops executed the head op replays
+                            # per-op (guaranteed progress).
                             n = op[5]
                             if steps + n > max_steps:
                                 op = op[2]
                                 code = op[0]
-                            elif code == OP_FUSED:
-                                try:
-                                    clock = op[4](regs, clock)
-                                except KeyError:
-                                    op = op[2]
-                                    code = op[0]
-                                else:
-                                    steps += n
-                                    fused_i += n
-                                    fused_r += 1
-                                    i += n
-                                    continue
                             else:
-                                # OP_FUSED2: extended superblock kernel.
-                                # Returns None on a missing live-in, or
-                                # (label, index, clock, executed) — the
-                                # resume point after running as much of
-                                # the path as its guards allowed.  With
-                                # zero ops executed the head op replays
-                                # per-op (guaranteed progress).
                                 res = op[4](
                                     regs, clock, self, frames, mem_load,
                                     mem_store, access, line_of, obs,
@@ -1880,45 +1865,27 @@ class _RegionExecution:
                     op = ops[i]
                     code = op[0]
                     if code < 0:
-                        # Fused region head (vector backend).  Classic
-                        # (OP_FUSED) regions are all-pure: the kernel
-                        # runs the whole region freely when neither
-                        # step limit can trip inside it and every
-                        # live-in is defined.  Kernels append (base,
-                        # offsets) rollback chunks to the trace, so
-                        # squash rollback is unchanged.  Otherwise
+                        # Fused region head (vector backend): an
+                        # OP_FUSED2 superblock kernel.  Kernels append
+                        # (base, offsets) rollback chunks to the trace,
+                        # so squash rollback is unchanged.  When either
+                        # step limit could trip inside the region,
                         # re-dispatch the original head op (interior
-                        # indices keep their tuples) and the tuple
-                        # path replays limits/faults exactly.
+                        # indices keep their tuples) and the tuple path
+                        # replays the limit exactly.  The kernel
+                        # returns None on a missing live-in; otherwise
+                        # (label, index, clock, busy, executed, ended).
+                        # ``ended`` means the kernel already handed the
+                        # run to the engine (park/fault/squash/SAB)
+                        # with run state and step counters synced —
+                        # return without touching them.  A bail with
+                        # zero ops executed replays the head op
+                        # (guaranteed progress).
                         n = op[5]
                         if steps + n > max_epoch or tsteps + n > max_region:
                             op = op[2]
                             code = op[0]
-                        elif code == OP_FUSED:
-                            try:
-                                clock = op[3](regs, trace, clock)
-                            except KeyError:
-                                op = op[2]
-                                code = op[0]
-                            else:
-                                steps += n
-                                tsteps += n
-                                busy += float(n)
-                                engine.fused_instructions += n
-                                engine.fused_regions += 1
-                                i += n
-                                continue
                         else:
-                            # OP_FUSED2: extended superblock kernel.
-                            # None on a missing live-in; otherwise
-                            # (label, index, clock, busy, executed,
-                            # ended).  ``ended`` means the kernel
-                            # already handed the run to the engine
-                            # (park/fault/squash/SAB) with run state
-                            # and step counters synced — return
-                            # without touching them.  A bail with
-                            # zero ops executed replays the head op
-                            # (guaranteed progress).
                             res = op[3](
                                 regs, trace, clock, busy, steps,
                                 tsteps, run, frame, self, h_eff,

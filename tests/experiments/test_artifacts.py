@@ -250,28 +250,44 @@ class TestStoreManagement:
         assert store.info()["entries"] == 0
 
     def test_info_counts_lowered_artifacts(self, tmp_path):
+        """Lowered programs persist as kernel tables, one per machine."""
         store = _store(tmp_path)
         workload = get_workload("go")
         compiled = bundle_for("go").compiled
         store.save_compiled(workload, 0.05, compiled)
         module = compiled.baseline
-        store.save_lowered(module, (4.0, 1.0), {"regions": []})
-        store.save_lowered(module, (8.0, 1.0), {"regions": []})
+        store.save_kernels(module, (4.0, 1.0), {"functions": {}})
+        store.save_kernels(module, (8.0, 1.0), {"functions": {}})
         info = store.info()
-        assert info["lowered"] == 2
-        assert info["entries"] == 3  # compiled + 2 lowered tables
+        assert info["kernels"] == 2
+        assert info["entries"] == 3  # compiled + 2 kernel tables
 
     def test_clear_only_lowered(self, tmp_path):
-        """`repro cache clear --only lowered` keeps compiled binaries."""
+        """`repro cache clear --only kernels` drops the lowered-program
+        (kernel) tables and keeps compiled binaries."""
         store = _store(tmp_path)
         workload = get_workload("go")
         compiled = bundle_for("go").compiled
         store.save_compiled(workload, 0.05, compiled)
-        store.save_lowered(compiled.baseline, (4.0, 1.0), {"regions": []})
-        removed = store.clear(kinds=(artifacts_mod.KIND_LOWERED,))
+        store.save_kernels(compiled.baseline, (4.0, 1.0), {"functions": {}})
+        removed = store.clear(kinds=(artifacts_mod.KIND_KERNEL,))
         assert removed == 1
         info = store.info()
-        assert info["lowered"] == 0 and info["compiled"] == 1
+        assert info["kernels"] == 0 and info["compiled"] == 1
+
+    def test_clear_removes_entries_of_retired_kinds(self, tmp_path, capsys):
+        """A plain `repro cache clear` still removes `.lowered.json`
+        region tables that older versions wrote."""
+        from repro.cli import main
+
+        store = _store(tmp_path)
+        legacy = store.root / "ab" / ("ab" + "0" * 62 + ".lowered.json")
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text("{}")
+        assert store.info()["entries"] == 0  # no longer a known kind
+        assert main(["cache", "clear", "--cache-dir", str(store.base)]) == 0
+        assert "removed 1 artifact(s)" in capsys.readouterr().out
+        assert not legacy.exists()
 
     def test_result_cache_ignores_artifacts(self, tmp_path):
         """Result-cache info/clear must not touch the sibling store."""

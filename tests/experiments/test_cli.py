@@ -57,6 +57,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "dist_1" in out
 
+    @pytest.mark.parametrize("argv", (
+        ["simulate", "nosuch"],
+        ["report", "--workloads", "go,nosuch"],
+        ["figure", "7", "--workloads", "nosuch"],
+    ), ids=("simulate", "report", "figure"))
+    def test_unknown_workload_clean_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code != 0
+        err = capsys.readouterr().err
+        assert "unknown workload 'nosuch'; valid: go, " in err
+        assert "Traceback" not in err
+
     def test_unknown_figure(self, capsys):
         assert main(["figure", "99", "--workloads", "go"]) == 1
 

@@ -1,16 +1,20 @@
 """Codegen kernel layer (vector backend): compile/memo mechanics plus
-seeded-random property fuzzing against ``evalops``.
+seeded-random property fuzzing against ``evalops`` and the slow oracle.
 
-The second-generation backend compiles per-region Python kernels; their
-contract is bit-identity with the tuple path, whose arithmetic *is*
-``evalops``.  Three fuzz surfaces pin that down:
+The backend compiles per-region Python kernels; their contract is
+bit-identity with the tuple path, whose arithmetic *is* ``evalops``.
+Three fuzz surfaces pin that down:
 
-* classic ``_plain`` kernels called directly on randomized live-in
-  registers against a literal evalops walk of the decoded region
-  (including the ``INT64_MIN // -1`` wrap);
-* whole randomized programs — guarded forward branches (so extended
-  kernels both hit and miss their guards) and private loads/stores —
-  under the ``vector`` vs ``tuples`` interpreter backends;
+* pure op soups — the degenerate one-span region with no guards and no
+  sites — whose ``_seq``/``_epoch`` kernels are called directly on
+  randomized live-in registers against a literal evalops walk of the
+  decoded region (including the ``INT64_MIN // -1`` wrap), then run
+  through the engine's sequential and epoch paths against
+  ``fast_path=False`` (including the undefined-live-in replay and a
+  step limit falling inside a region);
+* whole randomized programs — guarded forward branches (so kernels
+  both hit and miss their guards) and private loads/stores — under
+  the ``vector`` vs ``tuples`` engine backends;
 * randomized parallel TLS loops with scalar/memory wait-signal-check
   traffic and deliberately conflicting shared stores, so speculative
   store buffers fill, squash, and drain mid-kernel.
@@ -28,18 +32,16 @@ from repro.ir.decode import (
     OP_BINOP,
     OP_CONST,
     OP_DIVMOD,
-    OP_FUSED,
     OP_FUSED2,
     OP_MOVE,
     OP_UNOP,
     DecodedProgram,
 )
 from repro.ir.evalops import BINOP_FUNCS
-from repro.ir.interpreter import Interpreter, run_module
 from repro.ir.module import ChannelInfo, ParallelLoop
 from repro.ir.verifier import verify_module
 from repro.tlssim.config import SimConfig
-from repro.tlssim.engine import TLSEngine
+from repro.tlssim.engine import EngineError, TLSEngine
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -51,7 +53,7 @@ FUZZ_VALUES = (
     5, 63, 64, 65, 97, (1 << 31), (1 << 32), INT64_MAX - 1, INT64_MAX,
 )
 
-#: Binops legal in classic regions with arbitrary operands.
+#: Binops that cannot fault, whatever their operands.
 PURE_BINOPS = (
     "add", "sub", "mul", "and", "or", "xor", "shl", "shr",
     "eq", "ne", "lt", "le", "gt", "ge",
@@ -72,7 +74,7 @@ def _decoded(module):
 
 class TestCompileLayer:
     def test_compile_is_memoized_by_source(self):
-        source = "def k_plain(regs):\n    regs['x'] = regs['x'] + 1\n"
+        source = "def k_seq(regs):\n    regs['x'] = regs['x'] + 1\n"
         codegen.clear_memo()
         codegen.reset_stats()
         first = codegen.compile_source(source, "t")
@@ -107,26 +109,56 @@ class TestCompileLayer:
 
 
 # ---------------------------------------------------------------------------
-# classic kernels vs a literal evalops walk
+# pure op soups: kernels vs a literal evalops walk and the slow oracle
 # ---------------------------------------------------------------------------
 
+SOUP_SEEDS = 6
 
-def _pure_soup_module(rng, seeds=6):
-    """Entry seeds live-ins; ``work`` is one all-pure op soup + ret.
 
-    Ending ``work`` with ``ret`` (an extended-region breaker) keeps the
-    soup a single-span pure run, so lowering plants a *classic* region
-    whose ``_plain`` kernel we can call directly.
+def _add_scalar_loop(mb, fb, iters, body):
+    """Emit ``loop``/``done`` in ``main``: a parallel loop over ``i``.
+
+    ``body(fb)`` emits the loop body between the ``scalar:i`` handoff
+    and the back edge; the loop is annotated for the TLS engine.
+    """
+    fb.const(0, dest="i")
+    fb.jump("loop")
+    fb.block("loop")
+    fb.wait("scalar:i", dest="i")
+    fb.add("i", 1, dest="i.fwd")
+    fb.signal("scalar:i", "i.fwd")
+    body(fb)
+    fb.move("i.fwd", dest="i")
+    cond = fb.binop("lt", "i", iters)
+    fb.condbr(cond, "loop", "done")
+    fb.block("done")
+    module = mb.module
+    module.parallel_loops.append(
+        ParallelLoop(
+            function="main", header="loop", scalar_channels=["scalar:i"]
+        )
+    )
+    module.add_channel(ChannelInfo(name="scalar:i", kind="scalar", scalar="i"))
+
+
+def _pure_soup_module(rng, iters=6):
+    """``work(s0..s5)`` is one all-pure op soup + ``ret``; a parallel
+    loop in ``main`` calls it on fuzzed arguments read from ``@args``.
+
+    Ending ``work`` with ``ret`` (a region breaker) keeps the soup a
+    single-span pure run — the degenerate region, no guards and no
+    sites — whose live-ins are the parameters, so its kernels compute
+    on runtime values the constant folder cannot see.
     """
     mb = ModuleBuilder("fuzz")
-    fb = mb.function("main")
+    mb.global_var(
+        "args", iters * SOUP_SEEDS,
+        init=[rng.choice(FUZZ_VALUES) for _ in range(iters * SOUP_SEEDS)],
+    )
+    mb.global_var("out", iters * 8)
+    regs = [f"s{k}" for k in range(SOUP_SEEDS)]
+    fb = mb.function("work", params=tuple(regs))
     fb.block("entry")
-    regs = []
-    for k in range(seeds):
-        fb.const(rng.choice(FUZZ_VALUES), dest=f"s{k}")
-        regs.append(f"s{k}")
-    fb.jump("work")
-    fb.block("work")
     for k in range(rng.randrange(18, 36)):
         dest = f"t{k}"
         dice = rng.random()
@@ -145,6 +177,18 @@ def _pure_soup_module(rng, seeds=6):
     for name in regs[-8:]:
         acc = fb.binop("xor", acc, name)
     fb.ret(acc)
+
+    fb = mb.function("main")
+    fb.block("entry")
+
+    def body(fb):
+        base = fb.add("@args", fb.mul("i", SOUP_SEEDS))
+        args = [fb.load(base, offset=k) for k in range(SOUP_SEEDS)]
+        result = fb.call("work", args)
+        fb.store(fb.add("@out", fb.mul("i", 8)), result)
+
+    _add_scalar_loop(mb, fb, iters, body)
+    fb.ret(fb.load("@out"))
     module = mb.build()
     verify_module(module)
     return module
@@ -176,55 +220,143 @@ def _evalops_walk(ops, start, length, live_ins):
     return regs
 
 
-class TestClassicKernelFuzz:
+def _soup_kernels(module, function="work"):
+    """(decoded, region, run) for the one-span region at ``function``'s
+    entry block.
+
+    ``run(regs)`` executes the region's ``_seq`` kernel on ``regs`` and
+    its ``_epoch`` kernel on a copy, asserts both ran the whole region
+    and agree, and returns the resulting registers.  A pure one-span
+    kernel touches nothing but its registers, clock and trace, so the
+    engine-side arguments may be None.
+    """
+    decoded = _decoded(module)
+    block = lower.LoweredProgram(decoded).block(function, "entry")
+    superop = block.ops[0]
+    assert superop[0] == OP_FUSED2
+    region = superop[7]
+    n_ops = len(decoded.function(function).blocks["entry"].ops)
+    assert region.spans == [("entry", 0, n_ops - 1)]  # all but the ret
+
+    def run(regs):
+        epoch_regs = dict(regs)
+        seq = superop[4](regs, 0.0, None, None, None, None, None, None, None)
+        trace = []
+        epoch = superop[3](epoch_regs, trace, 0.0, 0.0, 0, 0, None, None,
+                           None, 0.0, 0, 0, superop[6])
+        assert seq[1] == epoch[1] == region.length  # resume index
+        assert seq[3] == epoch[4] == region.length  # ops executed
+        assert epoch[5] is False and len(trace) == 1
+        assert epoch_regs == regs
+        return regs
+
+    return decoded, region, run
+
+
+def _run_engines(module, parallel):
+    """(vector engine, vector result, slow-oracle result)."""
+    vec_engine = TLSEngine(
+        module, config=SimConfig(backend="vector"), parallel=parallel
+    )
+    vec = vec_engine.run()
+    slow = TLSEngine(
+        module, config=SimConfig(fast_path=False), parallel=parallel
+    ).run()
+    return vec_engine, vec, slow
+
+
+class TestPureSoupFuzz:
     @pytest.mark.parametrize("seed", range(12))
-    def test_plain_kernel_matches_evalops_on_random_live_ins(self, seed):
+    def test_kernels_match_evalops_on_random_live_ins(self, seed):
         rng = Random(seed)
-        module = _pure_soup_module(rng)
-        decoded = _decoded(module)
-        block = lower.LoweredProgram(decoded).block("main", "work")
-        fused = [op for op in block.ops if op[0] == OP_FUSED]
-        assert fused, "pure soup must lower to a classic region"
-        ops = decoded.function("main").blocks["work"].ops
-        for superop in fused:
-            region, fn_plain = superop[7], superop[6]
-            for _ in range(8):
-                live_ins = {
-                    name: rng.choice(FUZZ_VALUES) for name in region.live_ins
-                }
-                got = dict(live_ins)
-                fn_plain(got)
-                want = _evalops_walk(
-                    ops, region.start, region.length, live_ins
-                )
-                assert got == want
+        decoded, region, run = _soup_kernels(_pure_soup_module(rng))
+        ops = decoded.function("work").blocks["entry"].ops
+        for _ in range(8):
+            live_ins = {
+                name: rng.choice(FUZZ_VALUES) for name in region.live_ins
+            }
+            got = run(dict(live_ins))
+            assert got == _evalops_walk(ops, 0, region.length, live_ins)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("parallel", (False, True),
+                             ids=("sequential", "epoch"))
+    def test_engine_paths_match_slow_oracle(self, seed, parallel):
+        module = _pure_soup_module(Random(seed))
+        vec_engine, vec, slow = _run_engines(module, parallel)
+        assert vec_engine.backend == "vector"
+        assert vec.to_state() == slow.to_state()
+        assert vec_engine.fused_regions > 0
 
     def test_divmod_wrap_on_live_in_operand(self):
         # INT64_MIN // -1 wraps back to INT64_MIN (and mod to 0); the
         # kernel must reproduce the evalops wrap on a *live-in* operand
         # the constant folder cannot see.
         mb = ModuleBuilder("wrap")
-        fb = mb.function("main")
+        fb = mb.function("work", params=("x",))
         fb.block("entry")
-        fb.const(INT64_MIN, dest="x")
-        fb.jump("work")
-        fb.block("work")
         fb.binop("div", "x", -1, dest="q")
         fb.binop("mod", "x", -1, dest="r")
         fb.binop("xor", "q", "r", dest="o")
         fb.ret("o")
+        fb = mb.function("main")
+        fb.block("entry")
+        fb.ret(fb.call("work", (INT64_MIN,)))
         module = mb.build()
-        block = lower.LoweredProgram(_decoded(module)).block("main", "work")
-        superop = next(op for op in block.ops if op[0] == OP_FUSED)
-        fn_plain = superop[6]
+        _, _, run = _soup_kernels(module)
         for x in (INT64_MIN, INT64_MIN + 1, -1, 0, 7, INT64_MAX):
-            regs = {"x": x}
-            fn_plain(regs)
+            regs = run({"x": x})
             assert regs["q"] == BINOP_FUNCS["div"](x, -1), x
             assert regs["r"] == BINOP_FUNCS["mod"](x, -1), x
-        regs = {"x": INT64_MIN}
-        fn_plain(regs)
-        assert regs["q"] == INT64_MIN  # the wrap itself
+        assert run({"x": INT64_MIN})["q"] == INT64_MIN  # the wrap itself
+        vec_engine, vec, slow = _run_engines(module, parallel=False)
+        assert vec.return_value == slow.return_value == INT64_MIN
+        assert vec_engine.fused_regions > 0
+
+    @pytest.mark.parametrize("parallel", (False, True),
+                             ids=("sequential", "epoch"))
+    def test_undefined_live_in_replays_exact_diagnostic(self, parallel):
+        # The kernel returns None before touching any state; the engine
+        # replays the region per-op, so the fault lands on the same op
+        # with the slow oracle's exact message.
+        mb = ModuleBuilder("t")
+        fb = mb.function("work", params=("x",))
+        fb.block("entry")
+        fb.add("x", 1, dest="a")
+        fb.add("ghost", "a", dest="b")
+        fb.add("b", 2, dest="c")
+        fb.ret("c")
+        fb = mb.function("main")
+        fb.block("entry")
+        _add_scalar_loop(mb, fb, 3, lambda fb: fb.call("work", ("i",)))
+        fb.ret(0)
+        module = mb.build()
+        errors = []
+        for config in (SimConfig(backend="vector"), SimConfig(fast_path=False)):
+            with pytest.raises(EngineError) as caught:
+                TLSEngine(module, config=config, parallel=parallel).run()
+            errors.append(str(caught.value))
+        assert "undefined register %ghost" in errors[0]
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("limit", (16, 25, 33))
+    def test_step_limit_inside_region_identical(self, limit):
+        # A sequential step budget that runs out inside ``work``'s
+        # region (entered at step 15): the superop must fall back to
+        # per-op dispatch so the fault fires at exactly the oracle's
+        # step — same clock, same instruction count.
+        module = _pure_soup_module(Random(0))
+        engines = []
+        for mode in ({"backend": "vector"}, {"backend": "tuples"},
+                     {"fast_path": False}):
+            config = SimConfig(max_region_steps=limit, **mode)
+            engine = TLSEngine(module, config=config, parallel=False)
+            with pytest.raises(EngineError, match="fuel exhausted"):
+                engine.run()
+            engines.append(engine)
+        vector, tuples, slow = engines
+        assert vector.clock == tuples.clock == slow.clock
+        assert vector.instructions == tuples.instructions == limit + 1
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +420,6 @@ def _branchy_memory_module(rng, chain=4, size=64):
 
 class TestBranchyMemoryFuzz:
     @pytest.mark.parametrize("seed", range(10))
-    def test_interpreter_vector_matches_tuples(self, seed):
-        # Classic-region surface: the untimed interpreter's vector
-        # backend runs ``_plain`` kernels between the memory ops.
-        module = _branchy_memory_module(Random(seed))
-        ref = run_module(module, backend="tuples")
-        interp = Interpreter(module, backend="vector")
-        got = interp.run()
-        assert got.return_value == ref.return_value
-        assert got.steps == ref.steps
-        assert got.memory.checksum() == ref.memory.checksum()
-        assert interp.fused_instructions > 0
-
-    @pytest.mark.parametrize("seed", range(10))
     def test_engine_vector_matches_tuples(self, seed):
         # Extended-region surface: the sequential engine dispatches
         # OP_FUSED2 kernels whose branch guards hold on the lowered
@@ -315,9 +434,7 @@ class TestBranchyMemoryFuzz:
 
     def test_extended_regions_cover_guarded_memory_paths(self):
         module = _branchy_memory_module(Random(1))
-        program = lower.LoweredProgram(
-            _decoded(module), extended=True, issue_width=4
-        )
+        program = lower.LoweredProgram(_decoded(module), issue_width=4)
         codes = [
             op[0]
             for label in ("b0", "b1", "b2", "b3")

@@ -10,13 +10,13 @@ loudly (``backend_fallback`` counter) but correctly.
 
 import pytest
 
-from repro.ir import kernels
 from repro.ir import lower
 from repro.ir.builder import ModuleBuilder
-from repro.ir.decode import OP_FUSED, DecodedProgram
+from repro.ir.decode import OP_FUSED2, DecodedProgram
 from repro.ir.evalops import BINOP_FUNCS, UNOP_FUNCS
-from repro.ir.interpreter import Interpreter, InterpreterError, run_module
 from repro.obs.registry import process_registry
+from repro.tlssim.config import SimConfig
+from repro.tlssim.engine import TLSEngine
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -69,34 +69,30 @@ class TestCodegenIdentity:
             assert mod == BINOP_FUNCS["mod"](a, divisor), f"{a} mod {divisor}"
 
 
+def _ops(codes):
+    """Decoded-tuple stand-ins carrying only an opcode."""
+    return [(code,) for code in codes]
+
+
 class TestSegmentation:
     def test_fusible_runs_basic(self):
-        codes = [0, 1, 9, 0, 0, 0, 9, 0]
-        runs = kernels.fusible_runs(codes, frozenset((0, 1)), 2)
-        assert runs == [(0, 2), (3, 6)]
+        # 0 = const, 8 = ret (a breaker), 11 = load (fusible)
+        runs = lower._fusible_runs(_ops([0, 11, 8, 0, 0, 0, 8, 0]))
+        assert runs == [(0, 2), (3, 6), (7, 8)]
 
     def test_fusible_runs_min_len_filters_singletons(self):
-        codes = [0, 9, 0, 9, 0, 0]
-        assert kernels.fusible_runs(codes, frozenset((0,)), 2) == [(4, 6)]
-
-    def test_fusible_runs_python_fallback_matches(self, monkeypatch):
-        codes = [0, 1, 9, 0, 0, 0, 9, 0, 0]
-        with_numpy = kernels.fusible_runs(codes, frozenset((0, 1)), 2)
-        monkeypatch.setattr(kernels, "_np", None)
-        without = kernels.fusible_runs(codes, frozenset((0, 1)), 2)
-        assert with_numpy == without
-
-    def test_clock_offsets_python_fallback_matches(self, monkeypatch):
-        dts = [0.25, 0.5, 1.0, 0.25, 2.0]
-        with_numpy = kernels.clock_offsets(dts)
-        monkeypatch.setattr(kernels, "_np", None)
-        assert kernels.clock_offsets(dts) == with_numpy
-        assert with_numpy[0][0] == 0.0
+        # Single fusible ops form runs, but no region is planted there:
+        # only the two-op run at the end becomes a superop.
+        decoded = _decoded(_breaker_module())
+        block = lower.LoweredProgram(decoded).block("main", "entry")
+        fused_at = [i for i, op in enumerate(block.ops) if op[0] < 0]
+        assert [r.length for r in lower.block_regions(block)] == [2]
+        assert fused_at == [lower.block_regions(block)[0].start]
 
     def test_divmod_constant_divisor_fuses(self):
         program = _decoded(_divmod_module(divisor=3))
         block = lower.LoweredProgram(program).block("work", "entry")
-        assert any(op[0] == OP_FUSED for op in block.ops)
+        assert any(op[0] == OP_FUSED2 for op in block.ops)
 
     def test_divmod_register_divisor_breaks_region(self):
         from repro.ir.decode import OP_DIVMOD
@@ -112,9 +108,27 @@ class TestSegmentation:
                         < region.start + region.length)
 
     def test_dyadic_gate(self):
-        assert kernels.dyadic_exact(4, (1.0, 2.0, 12.0))
-        assert not kernels.dyadic_exact(3, (1.0, 2.0))
-        assert not kernels.dyadic_exact(4, (1.5,))
+        assert lower.signature_exact((4.0, 1.0, 2.0, 12.0))
+        assert not lower.signature_exact((3.0, 1.0, 2.0))
+        assert not lower.signature_exact((4.0, 1.5))
+
+
+def _breaker_module():
+    """One block: singleton fusible ops between calls, then a pair."""
+    mb = ModuleBuilder("t")
+    fb = mb.function("leaf")
+    fb.block("entry")
+    fb.ret(0)
+    fb = mb.function("main")
+    fb.block("entry")
+    fb.const(1, dest="a")
+    fb.call("leaf", (), dest="b")
+    fb.add("a", "b", dest="c")
+    fb.call("leaf", (), dest="d")
+    fb.add("c", "d", dest="e")
+    fb.add("e", 1, dest="f")
+    fb.ret("f")
+    return mb.build()
 
 
 def _arith_module(n=50):
@@ -192,85 +206,47 @@ def _decoded(module):
     return DecodedProgram(module, addr_of=lambda name: 0)
 
 
-class TestInterpreterBackend:
-    def test_vector_matches_tuples(self):
-        module = _arith_module()
-        ref = run_module(module, backend="tuples")
-        interp = Interpreter(module, backend="vector")
-        got = interp.run()
-        assert got.return_value == ref.return_value
-        assert got.steps == ref.steps
-        assert interp.fused_instructions > 0
-
-    def test_divmod_wrap_inside_region(self):
-        # INT64_MIN / -1 wraps back to INT64_MIN; the fused kernel must
-        # reproduce the evalops wrap on a live-in (non-folded) operand.
-        module = _divmod_module(divisor=-1)
-        ref = run_module(module, backend="tuples")
-        got = run_module(module, backend="vector")
-        assert got.return_value == ref.return_value == INT64_MIN + 1
-
-    def test_fuel_exhaustion_identical_diagnostic(self):
-        module = _arith_module(n=10_000)
-        with pytest.raises(InterpreterError) as slow:
-            run_module(module, backend="tuples", fuel=777)
-        with pytest.raises(InterpreterError) as fast:
-            run_module(module, backend="vector", fuel=777)
-        assert str(fast.value) == str(slow.value)
-
-    def test_undefined_register_identical_diagnostic(self):
-        mb = ModuleBuilder("t")
-        fb = mb.function("main")
-        fb.block("entry")
-        fb.add("ghost", 1, dest="a")
-        fb.add("a", 2, dest="b")
-        fb.ret("b")
-        module = mb.build()
-        with pytest.raises(InterpreterError) as slow:
-            run_module(module, backend="tuples")
-        with pytest.raises(InterpreterError) as fast:
-            run_module(module, backend="vector")
-        assert "undefined register" in str(slow.value)
-        assert str(fast.value) == str(slow.value)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(InterpreterError, match="valid backends"):
-            Interpreter(_arith_module(), backend="bogus")
-
-
 class TestBackendGate:
     def test_unknown_simconfig_backend_rejected(self):
-        from repro.tlssim.config import SimConfig
-
         with pytest.raises(ValueError, match="valid backends"):
             SimConfig(backend="bogus")
 
     def test_non_dyadic_cost_model_unavailable(self):
-        from repro.tlssim.config import SimConfig
-
         assert lower.unavailable_reason(SimConfig()) is None
         reason = lower.unavailable_reason(SimConfig(issue_width=3))
         assert reason is not None and "dyadic" in reason
 
-    def test_numpy_missing_falls_back_with_counter(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
-        assert lower.unavailable_reason() == "numpy unavailable"
-        module = _arith_module()
-        decoded = _decoded(module)
-        assert lower.lowered_for(decoded, None) is None
-        counter = process_registry().counter(
-            "backend_fallback", reason="numpy unavailable"
+    def test_vector_engine_imports_no_numpy(self):
+        # Lowering is pure Python: building and running a vector engine
+        # must not pull numpy into the process.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import sys\n"
+            "from repro.experiments.runner import bundle_for, config_for\n"
+            "from repro.tlssim.engine import TLSEngine\n"
+            "program = bundle_for('go').program('U')\n"
+            "config = config_for('U').with_mode(backend='vector')\n"
+            "engine = TLSEngine(program, config=config, parallel=True)\n"
+            "engine.run()\n"
+            "assert engine.backend == 'vector', engine.backend\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         )
-        before = counter.value
-        ref = run_module(module, backend="tuples")
-        got = run_module(module, backend="vector")  # silently degrades
-        assert got.return_value == ref.return_value
-        assert got.steps == ref.steps
-        assert counter.value == before + 1
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_engine_selects_and_falls_back(self):
         from repro.experiments.runner import bundle_for, config_for
-        from repro.tlssim.engine import TLSEngine
 
         bundle = bundle_for("go")
         program = bundle.program("U")
@@ -317,17 +293,22 @@ class TestPersistence:
 
     def test_rebuilt_program_executes_identically(self):
         module = _arith_module()
-        decoded = _decoded(module)
-        state = lower.LoweredProgram(decoded).lower_all().to_state()
-        ref = run_module(module, backend="tuples")
-        rebuilt = lower.LoweredProgram.from_state(decoded, state).lower_all()
-        interp = Interpreter(module, backend="vector")
-        # Seed the memo with the rebuilt program so the run uses it.
-        token = lower._module_token(module)
-        setattr(module, lower._MODULE_CACHE_ATTR, (token, {None: rebuilt}))
-        got = interp.run()
-        assert got.return_value == ref.return_value
-        assert got.steps == ref.steps
+        engine = TLSEngine(
+            module, config=SimConfig(backend="vector"), parallel=False
+        )
+        state = lower.LoweredProgram(
+            engine._decoded, issue_width=int(engine.config.issue_width)
+        ).lower_all().to_state()
+        ref = TLSEngine(
+            module, config=SimConfig(backend="tuples"), parallel=False
+        ).run()
+        # Plant the rebuilt program so the run walks it.
+        engine._program = lower.LoweredProgram.from_state(
+            engine._decoded, state
+        ).lower_all()
+        got = engine.run()
+        assert got.to_state() == ref.to_state()
+        assert engine.fused_instructions > 0
 
     def test_version_mismatch_raises(self):
         decoded = _decoded(_arith_module())
@@ -343,7 +324,7 @@ class TestPersistence:
             (n, ls) for n, ls in state["functions"].items() if ls
         ]
         label, regions = next(iter(labels.items()))
-        regions[0]["start"] = len(decoded.block(name, label).ops) - 1
+        regions[0]["spans"][0][1] = len(decoded.block(name, label).ops) - 1
         with pytest.raises(lower.LowerError, match="does not match"):
             lower.LoweredProgram.from_state(decoded, state)
 
@@ -355,10 +336,10 @@ class TestPersistence:
         state = lower.LoweredProgram(decoded).lower_all().to_state()
         store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
         cost_sig = (4.0, 1.0, 3.0)
-        assert store.load_lowered(module, cost_sig) is None
-        store.save_lowered(module, cost_sig, state)
-        assert store.load_lowered(module, cost_sig) == state
-        assert store.load_lowered(module, (2.0, 1.0, 3.0)) is None
+        assert store.load_kernels(module, cost_sig) is None
+        store.save_kernels(module, cost_sig, state)
+        assert store.load_kernels(module, cost_sig) == state
+        assert store.load_kernels(module, (2.0, 1.0, 3.0)) is None
 
 
 class TestSuffixKernels:
@@ -368,9 +349,7 @@ class TestSuffixKernels:
     def _ext_program(self):
         module = _mem_loop_module()
         decoded = _decoded(module)
-        program = lower.LoweredProgram(
-            decoded, extended=True, issue_width=4
-        )
+        program = lower.LoweredProgram(decoded, issue_width=4)
         return module, decoded, program
 
     def test_suffix_kernels_planted_at_resume_points(self):
@@ -401,7 +380,7 @@ class TestSuffixKernels:
         program.lower_all()
         state = program.to_state()
         rebuilt = lower.LoweredProgram.from_state(decoded, state).lower_all()
-        assert rebuilt.extended and rebuilt.issue_width == 4
+        assert rebuilt.issue_width == 4
         original = [
             (f, l, r.to_state()) for f, l, r in program.region_table()
         ]
@@ -421,8 +400,6 @@ class TestKernelArtifacts:
         # analysis or the codegen emitters.
         from repro.experiments import artifacts as artifacts_mod
         from repro.ir import codegen
-        from repro.tlssim.config import SimConfig
-        from repro.tlssim.engine import TLSEngine
 
         module = _mem_loop_module()
         store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
@@ -447,7 +424,6 @@ class TestKernelArtifacts:
             def relowered(*args, **kwargs):
                 raise AssertionError("relowered instead of loading kernels")
 
-            monkeypatch.setattr(codegen, "generate_classic", relowered)
             monkeypatch.setattr(codegen, "generate_extended", relowered)
             second_engine = TLSEngine(module, config=config, parallel=False)
             second = second_engine.run()
@@ -455,6 +431,44 @@ class TestKernelArtifacts:
             assert second.to_state() == first.to_state()
         finally:
             lower.set_persistence(None, None)
+
+    def test_old_schema_table_is_relowered_and_repersisted(self, tmp_path):
+        # A table stored under the previous LOWER_SCHEMA_VERSION must
+        # never be executed: its kernels here would raise if they ran.
+        from repro.experiments import artifacts as artifacts_mod
+
+        module = _mem_loop_module()
+        config = SimConfig(backend="vector")
+        cost_sig = lower.cost_signature(config)
+        stale = lower.LoweredProgram(
+            _decoded(module), issue_width=int(config.issue_width)
+        ).lower_all().to_state()
+        stale["version"] = lower.LOWER_SCHEMA_VERSION - 1
+        for labels in stale["functions"].values():
+            for regions in labels.values():
+                for region in regions:
+                    name = region["name"]
+                    region["source"] = (
+                        f"def {name}_epoch(*args):\n    return 1 // 0\n"
+                        f"def {name}_seq(*args):\n    return 1 // 0\n"
+                    )
+        store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
+        store.save_kernels(module, cost_sig, stale)
+        lower.set_persistence(store.load_kernels, store.save_kernels)
+        try:
+            engine = TLSEngine(module, config=config, parallel=False)
+            got = engine.run()
+        finally:
+            lower.set_persistence(None, None)
+        ref = TLSEngine(
+            _mem_loop_module(), config=SimConfig(backend="tuples"),
+            parallel=False,
+        ).run()
+        assert engine.backend == "vector" and engine.fused_instructions > 0
+        assert got.to_state() == ref.to_state()
+        stored = store.load_kernels(module, cost_sig)
+        assert stored["version"] == lower.LOWER_SCHEMA_VERSION
+        assert stored == engine._program.to_state()
 
 
 class TestOpstats:
