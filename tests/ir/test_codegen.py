@@ -265,28 +265,8 @@ def _run_engines(module, parallel):
     return vec_engine, vec, slow
 
 
-class TestPureSoupFuzz:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_kernels_match_evalops_on_random_live_ins(self, seed):
-        rng = Random(seed)
-        decoded, region, run = _soup_kernels(_pure_soup_module(rng))
-        ops = decoded.function("work").blocks["entry"].ops
-        for _ in range(8):
-            live_ins = {
-                name: rng.choice(FUZZ_VALUES) for name in region.live_ins
-            }
-            got = run(dict(live_ins))
-            assert got == _evalops_walk(ops, 0, region.length, live_ins)
-
-    @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("parallel", (False, True),
-                             ids=("sequential", "epoch"))
-    def test_engine_paths_match_slow_oracle(self, seed, parallel):
-        module = _pure_soup_module(Random(seed))
-        vec_engine, vec, slow = _run_engines(module, parallel)
-        assert vec_engine.backend == "vector"
-        assert vec.to_state() == slow.to_state()
-        assert vec_engine.fused_regions > 0
+class TestClassicKernelFuzz:
+    """Edge cases of straight-line, memory-free (classic) regions."""
 
     def test_divmod_wrap_on_live_in_operand(self):
         # INT64_MIN // -1 wraps back to INT64_MIN (and mod to 0); the
@@ -311,6 +291,30 @@ class TestPureSoupFuzz:
         assert run({"x": INT64_MIN})["q"] == INT64_MIN  # the wrap itself
         vec_engine, vec, slow = _run_engines(module, parallel=False)
         assert vec.return_value == slow.return_value == INT64_MIN
+        assert vec_engine.fused_regions > 0
+
+
+class TestPureSoupFuzz:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_kernels_match_evalops_on_random_live_ins(self, seed):
+        rng = Random(seed)
+        decoded, region, run = _soup_kernels(_pure_soup_module(rng))
+        ops = decoded.function("work").blocks["entry"].ops
+        for _ in range(8):
+            live_ins = {
+                name: rng.choice(FUZZ_VALUES) for name in region.live_ins
+            }
+            got = run(dict(live_ins))
+            assert got == _evalops_walk(ops, 0, region.length, live_ins)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("parallel", (False, True),
+                             ids=("sequential", "epoch"))
+    def test_engine_paths_match_slow_oracle(self, seed, parallel):
+        module = _pure_soup_module(Random(seed))
+        vec_engine, vec, slow = _run_engines(module, parallel)
+        assert vec_engine.backend == "vector"
+        assert vec.to_state() == slow.to_state()
         assert vec_engine.fused_regions > 0
 
     @pytest.mark.parametrize("parallel", (False, True),

@@ -14,6 +14,7 @@ from repro.ir import lower
 from repro.ir.builder import ModuleBuilder
 from repro.ir.decode import OP_FUSED2, DecodedProgram
 from repro.ir.evalops import BINOP_FUNCS, UNOP_FUNCS
+from repro.ir.interpreter import run_module
 from repro.obs.registry import process_registry
 from repro.tlssim.config import SimConfig
 from repro.tlssim.engine import TLSEngine
@@ -204,6 +205,22 @@ def _divmod_module(divisor):
 
 def _decoded(module):
     return DecodedProgram(module, addr_of=lambda name: 0)
+
+
+class TestInterpreterBackend:
+    """The per-op interpreter is the reference both engine backends match."""
+
+    def test_divmod_wrap_inside_region(self):
+        # INT64_MIN / -1 wraps back to INT64_MIN; the fused kernel must
+        # reproduce the evalops wrap on a live-in (non-folded) operand.
+        module = _divmod_module(divisor=-1)
+        ref = run_module(module)
+        assert ref.return_value == INT64_MIN + 1
+        for backend in ("tuples", "vector"):
+            engine = TLSEngine(module, config=SimConfig(backend=backend))
+            assert engine.run().return_value == ref.return_value, backend
+        assert engine.backend == "vector"
+        assert engine.fused_regions > 0
 
 
 class TestBackendGate:
