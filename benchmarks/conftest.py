@@ -7,14 +7,15 @@ the reproduction's shape.  Workload bundles are compiled once per
 process and shared across benchmarks via the runner's memoization.
 
 Two opt-in environment variables wire the harness into the parallel
-runner and the persistent result cache:
+runner and the persistent store:
 
 * ``REPRO_BENCH_JOBS=N`` — prewarm the full simulation matrix across
   ``N`` worker processes (0 = all cores) before any benchmark runs, so
   the timed harnesses measure rendering over warm memos;
-* ``REPRO_BENCH_CACHE=1`` — enable the persistent result cache
-  (``.repro_cache/``), so repeated ``make bench`` invocations skip
-  recomputation entirely.
+* ``REPRO_BENCH_CACHE=1`` — enable the persistent store
+  (``.repro_cache/``), which keeps simulation results and compiled
+  artifacts, so repeated ``make bench`` invocations skip recomputation
+  and recompilation entirely.
 
 Both are off by default: cold timings stay the benchmark baseline.
 """
@@ -31,10 +32,10 @@ collect_ignore: list = []
 @pytest.fixture(scope="session", autouse=True)
 def experiment_runner_wiring():
     """Honor REPRO_BENCH_CACHE / REPRO_BENCH_JOBS for this session."""
-    from repro.experiments import cache as cache_mod
+    from repro.experiments import artifacts as artifacts_mod
 
     use_cache = os.environ.get("REPRO_BENCH_CACHE") == "1"
-    cache_mod.configure(use_cache)
+    artifacts_mod.configure(use_cache)
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     if jobs != 1:
         from repro.experiments.report import SECTIONS, plan_report_jobs
@@ -44,7 +45,7 @@ def experiment_runner_wiring():
         titles = [title for title, *_ in SECTIONS]
         execute_plan(plan_report_jobs(names, titles), jobs=jobs)
     yield
-    cache_mod.configure(False)
+    artifacts_mod.configure(False)
 
 
 @pytest.fixture(scope="session")

@@ -20,11 +20,12 @@ Commands
 ``summary``
     One line per workload: U/C/H/B times and the winning scheme.
 ``scorecard``
-    Evaluate every reproduced paper claim (exit code 1 on any failure).
+    Evaluate every reproduced paper claim (exit code 1 on any failure;
+    claims a ``--workloads`` subset cannot check are skipped).
 ``cache``
-    Manage the persistent stores (``info`` / ``clear``): simulation
-    results and compiled artifacts live side by side under the cache
-    root; ``clear --only results|artifacts`` scopes the wipe.
+    Manage the persistent store (``info`` / ``clear``): simulation
+    results and compiled artifacts share one root; ``clear --only
+    results|artifacts|kernels`` scopes the wipe.
 ``bench``
     Engine throughput benchmark: fast path vs slow path, per workload
     and scheme, written to ``BENCH_engine.json``; ``--profile FILE``
@@ -64,10 +65,10 @@ Commands
     See ``docs/analysis.md``.
 
 Experiment commands memoize simulation results *and* compiled
-artifacts under ``.repro_cache/`` (override with ``--cache-dir`` or
-``REPRO_CACHE_DIR``); ``--no-cache`` disables both stores for one
-invocation.  They also take ``--log-level``/``--log-json`` to control
-the structured service log (see ``docs/observability.md``).
+artifacts in one store under ``.repro_cache/`` (override with
+``--cache-dir`` or ``REPRO_CACHE_DIR``); ``--no-cache`` disables it
+for one invocation.  They also take ``--log-level``/``--log-json`` to
+control the structured service log (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ import sys
 from typing import List, Optional
 
 from repro.experiments import artifacts as artifacts_mod
-from repro.experiments import cache as cache_mod
 from repro.experiments import metrics as metrics_mod
 from repro.obs import log as obs_log
 from repro.experiments import report as report_mod
@@ -91,16 +91,14 @@ BARS = ("U", "C", "T", "H", "P", "PS", "PC", "B", "E", "L", "O", "SEQ")
 
 
 def _setup_run(args) -> None:
-    """Install the persistent stores and reset the metrics collector.
+    """Install the persistent store and reset the metrics collector.
 
-    ``--no-cache`` disables both the result cache and the compiled-
-    artifact store — a run with it recomputes everything and writes
-    nothing.
+    ``--no-cache`` disables the store — a run with it recomputes
+    everything and writes nothing.
     """
-    enabled = not getattr(args, "no_cache", False)
-    cache_root = getattr(args, "cache_dir", None)
-    cache_mod.configure(enabled, cache_root)
-    artifacts_mod.configure(enabled, cache_root)
+    artifacts_mod.configure(
+        not getattr(args, "no_cache", False), getattr(args, "cache_dir", None)
+    )
     metrics_mod.reset(workers=max(1, getattr(args, "jobs", 1)))
     obs_log.configure(
         level=getattr(args, "log_level", "info"),
@@ -263,38 +261,31 @@ def _cmd_scorecard(args) -> int:
     _setup_run(args)
     results = run_scorecard(args.workloads)
     print(format_scorecard(results))
-    return 0 if all(r.ok for r in results) else 1
+    return 0 if all(r.ok or r.skipped for r in results) else 1
 
 
 def _cmd_cache(args) -> int:
-    cache = cache_mod.ResultCache(args.cache_dir)
     store = artifacts_mod.ArtifactStore(args.cache_dir)
     only = getattr(args, "only", "all")
     if args.action == "clear":
         if only in ("all", "results"):
-            removed = cache.clear()
-            print(f"removed {removed} cached result(s) from {cache.root}")
-        if only in ("all", "artifacts"):
-            removed = store.clear()
+            removed = store.clear(kinds=(artifacts_mod.KIND_RESULT,))
+            print(f"removed {removed} cached result(s) from {store.root}")
+        if only == "all":
+            removed = store.clear()  # also entries older versions wrote
+            print(f"removed {removed} artifact(s) from {store.root}")
+        elif only == "artifacts":
+            removed = store.clear(kinds=artifacts_mod.ARTIFACT_KINDS)
             print(f"removed {removed} artifact(s) from {store.root}")
         elif only == "kernels":
             removed = store.clear(kinds=(artifacts_mod.KIND_KERNEL,))
-            print(
-                f"removed {removed} kernel artifact(s) from {store.root}"
-            )
+            print(f"removed {removed} kernel artifact(s) from {store.root}")
         return 0
-    info = cache.info()
-    print("results")
-    print(f"  root   : {info['root']}")
-    print(f"  entries: {info['entries']}")
-    print(f"  size   : {info['bytes']} bytes")
-    artifact_info = store.info()
-    print("artifacts")
-    print(f"  root    : {artifact_info['root']}")
-    print(f"  compiled: {artifact_info['compiled']}")
-    print(f"  oracles : {artifact_info['oracles']}")
-    print(f"  kernels : {artifact_info['kernels']}")
-    print(f"  size    : {artifact_info['bytes']} bytes")
+    info = store.info()
+    print(f"root    : {info['root']}")
+    for name in ("results", "compiled", "oracles", "kernels", "entries"):
+        print(f"{name:<8}: {info[name]}")
+    print(f"size    : {info['bytes']} bytes")
     return 0
 
 
@@ -427,7 +418,7 @@ def _load_analysis(spec: str, args):
     }
     if args.cores == 4:
         # oracle upper bound (the O bar) for the critical-path slack
-        # comparison; served from the result cache when warm
+        # comparison; served from the persistent store when warm
         oracle = bundle_for(workload, threshold=args.threshold).simulate("O")
         meta["oracle_cycles"] = oracle.region_cycles()
     return attribute_events(run.events, meta=meta)
@@ -753,12 +744,12 @@ def _add_run_options(parser, jobs: bool = True, metrics: bool = False) -> None:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="bypass the persistent result cache",
+        help="bypass the persistent store (results and compiled artifacts)",
     )
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="result cache location (default .repro_cache, or REPRO_CACHE_DIR)",
+        help="persistent store location (default .repro_cache, or REPRO_CACHE_DIR)",
     )
     if jobs:
         parser.add_argument(
@@ -852,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     scorecard_parser.set_defaults(func=_cmd_scorecard)
 
     cache_parser = sub.add_parser(
-        "cache", help="manage the persistent result and artifact stores"
+        "cache", help="manage the persistent store of results and artifacts"
     )
     cache_parser.add_argument("action", choices=("info", "clear"))
     cache_parser.add_argument("--cache-dir", default=None)

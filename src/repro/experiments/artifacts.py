@@ -1,35 +1,38 @@
-"""Content-addressed store for compiled workloads and value oracles.
+"""The persistent store: simulation results and compiled artifacts.
 
-The compile+profile phase is deterministic: a :class:`CompiledWorkload`
-is a pure function of the workload sources, the profiling threshold,
-and the pipeline code.  This store memoizes that phase *across
-processes and runs*, the way :mod:`repro.experiments.cache` memoizes
-simulation results — a workload is compiled once per machine, ever,
-and every later run (including every ``ProcessPoolExecutor`` worker)
-deserializes the artifact instead of recompiling.
+Compilation and simulation are deterministic, so every compiled
+workload, value oracle, kernel table and simulation result is a pure
+function of the source tree and its inputs.  This store memoizes all
+of them *across processes and runs*: a workload is compiled once per
+machine, ever, and a warm ``repro report`` neither compiles nor
+simulates.
 
-Layout: entries live under ``<cache root>/artifacts/`` (sibling of the
-result-cache shards, managed independently by ``repro cache``), one
-JSON file per artifact named ``<key>.<kind>.json`` where ``kind`` is
-``compiled`` or ``oracle``.  Keys are content hashes over:
+Layout: one JSON file per entry, ``<root>/<key[:2]>/<key>.<kind>.json``
+where ``kind`` is ``result`` (simulation results and profile
+summaries), ``compiled``, ``oracle`` or ``kernel``.  The root is
+``.repro_cache/`` unless ``--cache-dir`` or ``REPRO_CACHE_DIR`` says
+otherwise; anything else under it (flight-recorder dumps, pstats
+profiles) is not an entry and ``repro cache`` leaves it alone.
 
-* a **pipeline fingerprint** — every ``.py`` file under
+Keys are content hashes that embed a per-kind source fingerprint:
+
+* ``result`` keys (:func:`repro.experiments.cache.result_key`) use
+  :func:`code_fingerprint`, every ``.py`` file under ``src/repro/``;
+* the other kinds use :func:`pipeline_fingerprint`, only
   ``src/repro/{compiler,ir,workloads}`` plus the oracle collector, so
-  any change to the pipeline (or this schema) invalidates artifacts
-  without touching simulation-result entries;
-* the workload name, profiling threshold, and the ``repr`` of both
-  inputs.
+  a simulator change invalidates results but keeps binaries warm.
 
-Writes are atomic (temp file + ``os.replace``).  Reads are
-corruption-tolerant: truncated/garbage payloads are unlinked and
-treated as a miss, and entries whose embedded pipeline fingerprint
-does not match the running code are ignored — both bump a counter
-(surfaced via run metrics and the process metrics registry) and fall
-back to recompilation; they never crash.
+Writes are atomic (temp file + ``os.replace``); a failed write (full
+disk, read-only root) is logged and dropped, since the caller already
+holds the value.  Reads are corruption-tolerant: a truncated or
+garbage entry is unlinked and treated as a miss, and an entry whose
+embedded fingerprint does not match the running code is ignored.
+Both bump a counter (surfaced via run metrics and the process metrics
+registry) and fall back to recomputation; they never crash.
 
-Like the result cache, the store is opt-in: :func:`configure` installs
-a process-wide instance (the CLI does this unless ``--no-cache``), and
-library code asks :func:`active_store`.
+The store is opt-in: :func:`configure` installs a process-wide
+instance (the CLI does this unless ``--no-cache``), and library code
+asks :func:`active_store`.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.compiler.loop_selection import LoopStats
 from repro.compiler.memdep.graph import DependenceGroup
@@ -48,7 +52,6 @@ from repro.compiler.memdep.sync_insertion import MemSyncReport
 from repro.compiler.pipeline import CompiledWorkload
 from repro.compiler.scalar_sync import ScalarSyncReport
 from repro.compiler.scheduling import SchedulingReport
-from repro.experiments.cache import DEFAULT_CACHE_DIR
 from repro.ir.module import ParallelLoop
 from repro.ir.serialize import (
     SerializeError,
@@ -56,51 +59,72 @@ from repro.ir.serialize import (
     module_from_state,
     module_to_state,
 )
+from repro.obs import log as log_mod
 from repro.obs.registry import process_registry
 from repro.tlssim.oracle import ValueOracle
 
-#: Bump to invalidate every stored artifact on a format change.
-ARTIFACT_SCHEMA_VERSION = 1
+#: Bump to invalidate every stored entry on a format change.
+ARTIFACT_SCHEMA_VERSION = 2
 
-#: Artifact kinds (the filename suffix).
+#: Default store root (relative to the current working directory);
+#: the ``REPRO_CACHE_DIR`` environment variable overrides it.
+DEFAULT_CACHE_DIR = ".repro_cache"
+
+#: Entry kinds (the filename suffix).
+KIND_RESULT = "result"
 KIND_COMPILED = "compiled"
 KIND_ORACLE = "oracle"
 KIND_KERNEL = "kernel"
+ARTIFACT_KINDS = (KIND_COMPILED, KIND_ORACLE, KIND_KERNEL)
+KINDS = (KIND_RESULT,) + ARTIFACT_KINDS
 
 
 # ---------------------------------------------------------------------------
-# fingerprint, keys, counters
+# fingerprints, keys, counters
 # ---------------------------------------------------------------------------
 
-_pipeline_fingerprint: Optional[str] = None
-
-#: Source subtrees the compile+profile phase depends on.  Deliberately
-#: narrower than the result cache's whole-tree fingerprint: simulator
-#: changes must invalidate simulation results but not compiled
-#: binaries.
-_PIPELINE_SOURCES = ("compiler", "ir", "workloads")
-_PIPELINE_EXTRA_FILES = ("tlssim/oracle.py",)
+_SRC_ROOT = Path(__file__).resolve().parent.parent  # src/repro/
+_SHARD = re.compile("[0-9a-f]{2}")
+_FINGERPRINTS: Dict[str, str] = {}
 
 
-def pipeline_fingerprint() -> str:
-    """Hash of every source file the artifacts depend on (cached)."""
-    global _pipeline_fingerprint
-    if _pipeline_fingerprint is None:
-        digest = hashlib.sha256()
-        digest.update(f"schema:{ARTIFACT_SCHEMA_VERSION}".encode())
-        root = Path(__file__).resolve().parent.parent  # src/repro/
-        paths: List[Path] = []
-        for sub in _PIPELINE_SOURCES:
-            paths.extend((root / sub).rglob("*.py"))
-        for extra in _PIPELINE_EXTRA_FILES:
-            paths.append(root / extra)
-        for path in sorted(paths):
-            digest.update(str(path.relative_to(root)).encode())
+def _fingerprint(name: str, paths) -> str:
+    """Memoized hash of the schema version and the files in ``paths()``."""
+    cached = _FINGERPRINTS.get(name)
+    if cached is None:
+        digest = hashlib.sha256(f"schema:{ARTIFACT_SCHEMA_VERSION}".encode())
+        for path in sorted(paths()):
+            digest.update(str(path.relative_to(_SRC_ROOT)).encode())
             digest.update(b"\0")
             digest.update(path.read_bytes())
             digest.update(b"\0")
-        _pipeline_fingerprint = digest.hexdigest()
-    return _pipeline_fingerprint
+        cached = _FINGERPRINTS[name] = digest.hexdigest()
+    return cached
+
+
+def _pipeline_sources() -> Iterator[Path]:
+    for sub in ("compiler", "ir", "workloads"):
+        yield from (_SRC_ROOT / sub).rglob("*.py")
+    yield _SRC_ROOT / "tlssim" / "oracle.py"
+
+
+def code_fingerprint() -> str:
+    """Hash of the whole source tree: the ``result`` kind's policy."""
+    return _fingerprint("code", lambda: _SRC_ROOT.rglob("*.py"))
+
+
+def pipeline_fingerprint() -> str:
+    """Hash of the compile+profile sources: every other kind's policy.
+
+    Deliberately narrower than :func:`code_fingerprint`: simulator
+    changes must invalidate simulation results but not compiled
+    binaries.
+    """
+    return _fingerprint("pipeline", _pipeline_sources)
+
+
+def _kind_fingerprint(kind: str) -> str:
+    return code_fingerprint() if kind == KIND_RESULT else pipeline_fingerprint()
 
 
 def artifact_key(
@@ -126,6 +150,8 @@ def artifact_key(
 
 
 #: Store outcome counters for this process; workers have their own.
+#: ``corrupt``/``version_mismatch`` count entries of every kind;
+#: ``hits``/``misses`` count only the typed artifact loads.
 _COUNTERS = {"hits": 0, "misses": 0, "corrupt": 0, "version_mismatch": 0}
 
 
@@ -408,23 +434,26 @@ def oracle_from_state(state: List) -> ValueOracle:
 
 
 class ArtifactStore:
-    """A directory of content-addressed compiled artifacts.
-
-    ``root`` is the *cache* root (the same directory the result cache
-    uses); artifacts live in its ``artifacts/`` subdirectory.
-    """
+    """A directory of content-addressed entries of every kind."""
 
     def __init__(self, root: Optional[str] = None):
-        self.base = Path(
+        self.root = Path(
             root or os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
         )
-        self.root = self.base / "artifacts"
 
     def _path(self, key: str, kind: str) -> Path:
         return self.root / key[:2] / f"{key}.{kind}.json"
 
+    def _drop(self, path: Path) -> None:
+        """Count a corrupt entry and unlink it so it is recomputed."""
+        _bump("corrupt")
+        try:
+            path.unlink()
+        except OSError:
+            pass
+
     # -- raw entries ---------------------------------------------------
-    def _get(self, key: str, kind: str):
+    def get(self, key: str, kind: str = KIND_RESULT):
         """The stored payload; None on miss, corruption, or mismatch."""
         path = self._path(key, kind)
         try:
@@ -432,45 +461,53 @@ class ArtifactStore:
                 entry = json.load(handle)
             if (
                 entry.get("schema") != ARTIFACT_SCHEMA_VERSION
-                or entry.get("pipeline") != pipeline_fingerprint()
+                or entry.get("fingerprint") != _kind_fingerprint(kind)
             ):
-                # An artifact produced by different pipeline code (the
-                # key normally prevents this; guard against copied or
-                # hand-edited stores): recompile, leave the file alone.
+                # Written by different code (the key normally prevents
+                # this; guard against copied or hand-edited stores):
+                # recompute, leave the file alone.
                 _bump("version_mismatch")
                 return None
             return entry["payload"]
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError, TypeError):
-            # Corrupt or truncated artifact: drop it and recompile.
-            _bump("corrupt")
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            self._drop(path)
             return None
 
-    def _put(self, key: str, kind: str, payload) -> None:
-        """Atomically store ``payload`` under ``key``."""
+    def put(self, key: str, payload, kind: str = KIND_RESULT) -> None:
+        """Atomically store ``payload`` under ``key``.
+
+        A failed write (full disk, read-only root) leaves no temp file
+        behind and is logged, not raised: the caller already holds the
+        value, and the next run simply recomputes it.
+        """
         path = self._path(key, kind)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "schema": ARTIFACT_SCHEMA_VERSION,
-            "pipeline": pipeline_fingerprint(),
+            "fingerprint": _kind_fingerprint(kind),
             "payload": payload,
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
+        tmp = None
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=".tmp-", suffix=".json"
+            )
             with os.fdopen(fd, "w") as handle:
                 json.dump(entry, handle)
             os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            tmp = None
+        except OSError as exc:
+            log_mod.get_logger("store").warning(
+                "write_failed", kind=kind, key=key, error=str(exc)
+            )
+        finally:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     # -- typed API -----------------------------------------------------
     def compiled_key(self, workload, threshold: float) -> str:
@@ -491,18 +528,14 @@ class ArtifactStore:
     ) -> Optional[CompiledWorkload]:
         """The stored compiled workload, or None (counts hit/miss)."""
         key = self.compiled_key(workload, threshold)
-        payload = self._get(key, KIND_COMPILED)
+        payload = self.get(key, KIND_COMPILED)
         if payload is None:
             _bump("misses")
             return None
         try:
             compiled = compiled_from_state(payload)
         except SerializeError:
-            _bump("corrupt")
-            try:
-                self._path(key, KIND_COMPILED).unlink()
-            except OSError:
-                pass
+            self._drop(self._path(key, KIND_COMPILED))
             _bump("misses")
             return None
         _bump("hits")
@@ -511,10 +544,10 @@ class ArtifactStore:
     def save_compiled(
         self, workload, threshold: float, compiled: CompiledWorkload
     ) -> None:
-        self._put(
+        self.put(
             self.compiled_key(workload, threshold),
-            KIND_COMPILED,
             compiled_to_state(compiled),
+            KIND_COMPILED,
         )
 
     def load_oracle(
@@ -522,18 +555,14 @@ class ArtifactStore:
     ) -> Optional[ValueOracle]:
         """The stored value oracle, or None (counts hit/miss)."""
         key = self.oracle_key(workload, threshold, program_attr)
-        payload = self._get(key, KIND_ORACLE)
+        payload = self.get(key, KIND_ORACLE)
         if payload is None:
             _bump("misses")
             return None
         try:
             oracle = oracle_from_state(payload)
         except SerializeError:
-            _bump("corrupt")
-            try:
-                self._path(key, KIND_ORACLE).unlink()
-            except OSError:
-                pass
+            self._drop(self._path(key, KIND_ORACLE))
             _bump("misses")
             return None
         _bump("hits")
@@ -542,10 +571,10 @@ class ArtifactStore:
     def save_oracle(
         self, workload, threshold: float, program_attr: str, oracle: ValueOracle
     ) -> None:
-        self._put(
+        self.put(
             self.oracle_key(workload, threshold, program_attr),
-            KIND_ORACLE,
             oracle_to_state(oracle),
+            KIND_ORACLE,
         )
 
     def kernel_key(self, module, cost_sig) -> str:
@@ -574,7 +603,7 @@ class ArtifactStore:
         program and recompilation of the persisted sources happen in
         ``repro.ir.lower.LoweredProgram.from_state``.
         """
-        payload = self._get(self.kernel_key(module, cost_sig), KIND_KERNEL)
+        payload = self.get(self.kernel_key(module, cost_sig), KIND_KERNEL)
         if payload is None:
             _bump("misses")
             return None
@@ -582,29 +611,37 @@ class ArtifactStore:
         return payload
 
     def save_kernels(self, module, cost_sig, state: Dict) -> None:
-        self._put(self.kernel_key(module, cost_sig), KIND_KERNEL, state)
+        self.put(self.kernel_key(module, cost_sig), state, KIND_KERNEL)
 
     # -- management ----------------------------------------------------
+    def _entries(self, root: Optional[Path] = None) -> Iterator[Path]:
+        """Every ``*.json`` in the two-hex-digit shard directories.
+
+        Only shards hold entries: flight-recorder dumps and pstats
+        profiles that share the root are never counted or cleared.
+        """
+        root = root or self.root
+        if not root.is_dir():
+            return
+        for shard in sorted(root.iterdir()):
+            if _SHARD.fullmatch(shard.name) and shard.is_dir():
+                yield from shard.glob("*.json")
+
     def info(self) -> Dict:
         """Entry counts and total size, for ``repro cache info``."""
-        counts = {
-            KIND_COMPILED: 0, KIND_ORACLE: 0, KIND_KERNEL: 0,
-        }
+        counts = dict.fromkeys(KINDS, 0)
         size = 0
-        if self.root.exists():
-            for path in self.root.rglob("*.json"):
-                for kind in counts:
-                    if path.name.endswith(f".{kind}.json"):
-                        counts[kind] += 1
-                        break
-                else:
-                    continue
+        for path in self._entries():
+            parts = path.name.split(".")  # <key>.<kind>.json
+            if len(parts) == 3 and parts[1] in counts:
+                counts[parts[1]] += 1
                 try:
                     size += path.stat().st_size
                 except OSError:
                     pass
         return {
             "root": str(self.root),
+            "results": counts[KIND_RESULT],
             "compiled": counts[KIND_COMPILED],
             "oracles": counts[KIND_ORACLE],
             "kernels": counts[KIND_KERNEL],
@@ -613,38 +650,32 @@ class ArtifactStore:
         }
 
     def clear(self, kinds: Optional[Sequence[str]] = None) -> int:
-        """Delete artifacts (all kinds, or only ``kinds``); returns count.
+        """Delete entries (every kind, or only ``kinds``); returns count.
 
-        ``kinds`` lets ``repro cache clear --only kernels`` wipe the
-        per-machine kernel tables a sweep left behind without
-        discarding compiled workloads and oracles.  Without ``kinds``
-        every ``*.json`` under the root goes, including entries of
-        kinds older versions wrote.
+        Without ``kinds`` every ``*.json`` in the shards goes, including
+        entries older versions wrote: retired kinds, pre-merge results
+        (``<key>.json``) and the old ``artifacts/`` subtree.
         """
+        legacy = self.root / "artifacts"
+        paths = list(self._entries())
+        if kinds is None:
+            paths.extend(self._entries(legacy))
+        else:
+            wanted = tuple(f".{kind}.json" for kind in kinds)
+            paths = [path for path in paths if path.name.endswith(wanted)]
         removed = 0
-        if not self.root.exists():
-            return 0
-        wanted = None if kinds is None else tuple(
-            f".{kind}.json" for kind in kinds
-        )
-        for path in self.root.rglob("*.json"):
-            if wanted is not None and not path.name.endswith(wanted):
-                continue
+        for path in paths:
             try:
                 path.unlink()
                 removed += 1
             except OSError:
                 pass
-        for sub in sorted(self.root.rglob("*"), reverse=True):
-            if sub.is_dir():
-                try:
-                    sub.rmdir()
-                except OSError:
-                    pass
-        try:
-            self.root.rmdir()
-        except OSError:
-            pass
+        directories = {path.parent for path in paths} | {legacy}
+        for directory in sorted(directories, key=lambda d: -len(d.parts)):
+            try:
+                directory.rmdir()  # only succeeds once empty
+            except OSError:
+                pass
         return removed
 
 
@@ -656,7 +687,11 @@ _active: Optional[ArtifactStore] = None
 
 
 def configure(enabled: bool, root: Optional[str] = None) -> Optional[ArtifactStore]:
-    """Install (or remove) the process-wide store and return it."""
+    """Install (or remove) the process-wide store and return it.
+
+    One switch for every kind: ``--no-cache`` turns results and
+    compiled artifacts off together.
+    """
     global _active
     _active = ArtifactStore(root) if enabled else None
     _install_lowered_hooks()
@@ -683,10 +718,10 @@ def _install_lowered_hooks() -> None:
 
 
 def active_store() -> Optional[ArtifactStore]:
-    """The installed store, or None when artifact reuse is off."""
+    """The installed store, or None when persistence is off."""
     return _active
 
 
 def active_root() -> Optional[str]:
-    """The active store's cache root, for shipping to worker processes."""
-    return str(_active.base) if _active is not None else None
+    """The active store's root, for shipping to worker processes."""
+    return str(_active.root) if _active is not None else None

@@ -7,8 +7,8 @@ Compilation and simulation are deterministic, so results are memoized
 at three levels:
 
 * **in-process** — per-bundle dicts, as before;
-* **on disk** — the persistent result cache
-  (:mod:`repro.experiments.cache`), when the CLI enables it;
+* **on disk** — the persistent store's ``result`` kind
+  (:mod:`repro.experiments.artifacts`), when the CLI enables it;
 * **across cores** — :func:`execute_plan` schedules a sweep of
   :class:`JobSpec` simulation jobs as an explicit DAG (one compile
   node per workload, bar-simulation nodes depending on it) over a
@@ -24,11 +24,10 @@ sweep matrix is 15 workloads wide, which saturates typical machines.
 Compilation is lazy: a bundle only compiles when a simulation misses
 every cache level or when profile/compile artifacts are requested, so
 a warm-cache run never compiles at all.  When compilation *is* needed,
-the persistent artifact store (:mod:`repro.experiments.artifacts`)
-is consulted first: a stored :class:`CompiledWorkload` (or value
-oracle) deserializes in a fraction of the compile time and is byte-
-identical to recompiling, so each workload is compiled once per
-machine rather than once per process.
+the same store's compiled artifacts are consulted first: a stored
+:class:`CompiledWorkload` (or value oracle) deserializes in a fraction
+of the compile time and is byte-identical to recompiling, so each
+workload is compiled once per machine rather than once per process.
 """
 
 from __future__ import annotations
@@ -205,10 +204,8 @@ class WorkloadBundle:
         )
 
     def _disk_get_result(self, key: str) -> Optional[SimResult]:
-        cache = cache_mod.active_cache()
-        if cache is None:
-            return None
-        payload = cache.get(key)
+        store = artifacts_mod.active_store()
+        payload = store.get(key) if store is not None else None
         if payload is None:
             return None
         try:
@@ -217,9 +214,9 @@ class WorkloadBundle:
             return None
 
     def _disk_put_result(self, key: str, result: SimResult) -> None:
-        cache = cache_mod.active_cache()
-        if cache is not None:
-            cache.put(key, result.to_state())
+        store = artifacts_mod.active_store()
+        if store is not None:
+            store.put(key, result.to_state())
 
     # -- simulation ------------------------------------------------------
     def simulate(self, bar: str, base: Optional[SimConfig] = None) -> SimResult:
@@ -318,12 +315,10 @@ class WorkloadBundle:
         """
         if self._profile_summary is not None:
             return self._profile_summary
-        cache = cache_mod.active_cache()
-        disk_key = cache_mod.result_key(
-            self.workload.name, self.threshold, "profile", "profile", "", None
-        )
-        if cache is not None:
-            payload = cache.get(disk_key)
+        store = artifacts_mod.active_store()
+        disk_key = _profile_key(self.workload.name, self.threshold)
+        if store is not None:
+            payload = store.get(disk_key)
             if payload is not None:
                 self._profile_summary = payload
                 metrics_mod.current().record(
@@ -336,8 +331,8 @@ class WorkloadBundle:
                 return payload
         summary = self._compute_profile_summary()
         self._profile_summary = summary
-        if cache is not None:
-            cache.put(disk_key, summary)
+        if store is not None:
+            store.put(disk_key, summary)
         return summary
 
     def _compute_profile_summary(self) -> Dict:
@@ -392,6 +387,12 @@ class WorkloadBundle:
 
 def _pct_key(threshold: float) -> str:
     return str(int(round(threshold * 100)))
+
+
+def _profile_key(workload: str, threshold: float) -> str:
+    return cache_mod.result_key(
+        workload, threshold, "profile", "profile", "", None
+    )
 
 
 _BUNDLES: Dict[str, WorkloadBundle] = {}
@@ -469,14 +470,10 @@ def _try_resolve_from_cache(spec: JobSpec, bundle: WorkloadBundle) -> bool:
     if spec.kind == "profile":
         if bundle._profile_summary is not None:
             return True
-        cache = cache_mod.active_cache()
-        if cache is None:
+        store = artifacts_mod.active_store()
+        if store is None:
             return False
-        payload = cache.get(
-            cache_mod.result_key(
-                spec.workload, spec.threshold, "profile", "profile", "", None
-            )
-        )
+        payload = store.get(_profile_key(spec.workload, spec.threshold))
         if payload is None:
             return False
         bundle._profile_summary = payload
@@ -537,16 +534,14 @@ def _try_resolve_from_cache(spec: JobSpec, bundle: WorkloadBundle) -> bool:
 def _execute_group(payload: Tuple[str, float, List[JobSpec], Optional[str]]) -> Dict:
     """Worker-side: compile one workload, run its pending simulations.
 
-    Runs in a pool worker; the persistent cache and metrics collector
-    are parent-side concerns, so results travel back as serialized
-    state and the parent does all bookkeeping.  The artifact store *is*
-    enabled worker-side (when the parent has one): loading a compiled
-    workload is cheaper than recompiling it, and a cold worker persists
-    its compile so no other process ever repeats it.
+    Runs in a pool worker with the parent's persistent store (when it
+    has one), as serve workers do: a stored compile loads instead of
+    recompiling, and the worker persists its own compiles, results and
+    profile summaries.  Results also travel back as serialized state
+    so the parent can seed its memos and record metrics.
     """
-    name, threshold, specs, artifact_root = payload
-    cache_mod.configure(False)
-    artifacts_mod.configure(artifact_root is not None, artifact_root)
+    name, threshold, specs, store_root = payload
+    artifacts_mod.configure(store_root is not None, store_root)
     artifacts_mod.reset_counters()  # forked workers inherit parent counts
     metrics_mod.reset()
     bundle = bundle_for(name, threshold)
@@ -589,9 +584,9 @@ def _execute_group(payload: Tuple[str, float, List[JobSpec], Optional[str]]) -> 
 
 
 def _merge_group(group: Dict, specs_by_id: Dict[str, JobSpec]) -> None:
-    """Parent-side: seed memos, persist to disk, record metrics."""
+    """Parent-side: seed memos and record metrics (the worker already
+    persisted everything it computed)."""
     bundle = bundle_for(group["workload"], group["threshold"])
-    cache = cache_mod.active_cache()
     for job in group.get("pipeline", ()):
         # Compiles/oracle collections the worker actually performed
         # surface as worker jobs; artifact-store hits keep their cache
@@ -605,14 +600,6 @@ def _merge_group(group: Dict, specs_by_id: Dict[str, JobSpec]) -> None:
         )
     if group["profile_summary"] is not None and bundle._profile_summary is None:
         bundle._profile_summary = group["profile_summary"]
-        if cache is not None:
-            cache.put(
-                cache_mod.result_key(
-                    group["workload"], group["threshold"],
-                    "profile", "profile", "", None,
-                ),
-                group["profile_summary"],
-            )
     for job in group["jobs"]:
         spec = specs_by_id[job["spec_id"]]
         if job["kind"] == "profile":
@@ -625,15 +612,8 @@ def _merge_group(group: Dict, specs_by_id: Dict[str, JobSpec]) -> None:
         result = SimResult.from_state(job["result"])
         if spec.kind == "bar":
             bundle._results[(spec.label, config)] = result
-            disk_key = bundle._disk_key(
-                "bar", spec.label, job["program"], config,
-                parallel=(spec.label != "SEQ"),
-            )
         else:
             bundle._custom[(job["program"], config)] = result
-            disk_key = bundle._disk_key("custom", "", job["program"], config)
-        if cache is not None:
-            cache.put(disk_key, result.to_state())
         metrics_mod.current().record(
             group["workload"], spec.label, spec.kind,
             metrics_mod.SOURCE_WORKER, job["wall_s"], worker=group["pid"],
@@ -671,11 +651,11 @@ def execute_plan(specs: Sequence[JobSpec], jobs: int = 1) -> JobGraph:
                 _run_spec(spec, bundle_for(_name, _threshold))
         return graph
     results: Dict[str, Dict] = {}
-    artifact_root = artifacts_mod.active_root()
+    store_root = artifacts_mod.active_root()
     with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
         futures = {
             pool.submit(
-                _execute_group, (name, threshold, group_specs, artifact_root)
+                _execute_group, (name, threshold, group_specs, store_root)
             ): name
             for name, threshold, group_specs in groups
         }

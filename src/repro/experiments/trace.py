@@ -8,7 +8,7 @@ counters and histograms — then exports the stream in the requested
 format (Chrome trace for Perfetto/``chrome://tracing``, JSONL, a
 self-contained HTML report, or the ASCII timeline itself).
 
-Traced runs are never served from the result cache: the point is the
+Traced runs are never served from the persistent store: the point is the
 event stream, which only a live engine produces.
 """
 

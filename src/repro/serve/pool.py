@@ -43,7 +43,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import artifacts as artifacts_mod
-from repro.experiments import cache as cache_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments.scheduler import ReadThroughCache
 from repro.obs import flightrec
@@ -53,7 +52,7 @@ from repro.serve.protocol import JobRequest, canonical_event_lines
 
 #: provenance labels for a job outcome (where the result came from)
 SOURCE_MEMO = "memo"        # served from the worker's warm bundle memo
-SOURCE_CACHE = "cache"      # served from the persistent result cache
+SOURCE_CACHE = "cache"      # served from the persistent store
 SOURCE_COMPUTED = "computed"  # simulated fresh in the worker
 SOURCE_TRACED = "traced"    # live traced run (events requested)
 
@@ -80,13 +79,8 @@ def _warm_bundle(workload: str, threshold: float):
 
 
 def _profile_path(job_id: str, cache_root: Optional[str]) -> str:
-    """Where a profiled job's pstats dump lands (under the cache root)."""
-    root = (
-        cache_root
-        or os.environ.get("REPRO_CACHE_DIR")
-        or cache_mod.DEFAULT_CACHE_DIR
-    )
-    directory = os.path.join(root, "profiles")
+    """Where a profiled job's pstats dump lands (under the store root)."""
+    directory = artifacts_mod.ArtifactStore(cache_root).root / "profiles"
     os.makedirs(directory, exist_ok=True)
     return os.path.join(directory, f"{job_id or os.getpid()}.pstats")
 
@@ -282,7 +276,6 @@ def _worker_main(
     log_state: Optional[Dict] = None,
 ) -> None:
     """Process-worker entry point: serve batches until told to stop."""
-    cache_mod.configure(cache_enabled, cache_root)
     artifacts_mod.configure(cache_enabled, cache_root)
     artifacts_mod.reset_counters()  # forked workers inherit parent counts
     metrics_mod.reset()
@@ -420,7 +413,6 @@ class InlinePool:
         self._executor: Optional[ThreadPoolExecutor] = None
 
     def start(self) -> None:
-        cache_mod.configure(self._cache_enabled, self._cache_root)
         artifacts_mod.configure(self._cache_enabled, self._cache_root)
         log_mod.apply_state(self._log_state)
         self._executor = ThreadPoolExecutor(

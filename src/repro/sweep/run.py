@@ -3,9 +3,9 @@
 Every point becomes a ``bar``-kind :class:`JobSpec` whose overrides
 carry the point's config coordinates, executed through
 :func:`repro.experiments.runner.execute_plan` — the same job DAG /
-process fan-out / result-cache machinery the report generator uses, so
-warm points are cache hits and the compiled-artifact store keeps the
-per-workload compile amortized.  A SEQ baseline job rides along per
+process fan-out / persistent-store machinery the report generator
+uses, so warm points are cache hits and stored compiled artifacts keep
+the per-workload compile amortized.  A SEQ baseline job rides along per
 distinct *machine* coordinate so every point's metrics include the
 paper's normalized region time and region speedup (the sequential
 baseline deliberately ignores scheme axes like ``predictor`` — the
@@ -17,7 +17,7 @@ entry per completed point, keyed by the point's content id and guarded
 by the grid's content key.  Re-running the same grid skips completed
 points entirely (zero recomputation — not even a cache probe), and a
 run killed mid-flight loses at most the chunk in progress, whose
-simulations the persistent result cache still serves warm on resume.
+simulations the persistent store still serves warm on resume.
 """
 
 from __future__ import annotations

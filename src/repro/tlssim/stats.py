@@ -233,7 +233,7 @@ class SimResult:
         }
 
     def to_state(self) -> Dict:
-        """Full-fidelity serialization (persistent result cache).
+        """Full-fidelity serialization (persistent store results).
 
         Unlike :meth:`to_dict` (a lossy summary for dashboards), the
         state round-trips through :meth:`from_state` bit-exactly —

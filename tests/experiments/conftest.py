@@ -1,16 +1,15 @@
 """Isolation for experiment tests.
 
-CLI commands enable the persistent result cache (and the compiled-
-artifact store) by default; point their default root into the test's
-tmp directory so no test ever reads stale entries from (or writes
-into) the repository's ``.repro_cache/``, and always leave the
-process-wide stores disabled afterwards.
+CLI commands enable the persistent store (results and compiled
+artifacts) by default; point its default root into the test's tmp
+directory so no test ever reads stale entries from (or writes into)
+the repository's ``.repro_cache/``, and always leave the process-wide
+store disabled afterwards.
 """
 
 import pytest
 
 from repro.experiments import artifacts as artifacts_mod
-from repro.experiments import cache as cache_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments import runner
 
@@ -19,7 +18,6 @@ from repro.experiments import runner
 def isolated_result_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
     yield
-    cache_mod.configure(False)
     artifacts_mod.configure(False)
     artifacts_mod.reset_counters()
     metrics_mod.reset()

@@ -1,24 +1,28 @@
-"""The compiled-artifact store: round trips, keys, and warm starts.
+"""The persistent store: round trips, keys, faults, and warm starts.
 
 The hard acceptance criterion is byte-identity: a deserialized
 :class:`CompiledWorkload` must be indistinguishable from a fresh
 compile — same serialized state, same simulation results, same typed
-event stream — across the whole suite.  Corruption and version drift
-must degrade to recompilation, never to a crash or a wrong result.
+event stream — across the whole suite.  Corruption, version drift
+and failed writes must degrade to recomputation, never to a crash or a
+wrong result — for every entry kind.
 """
 
+import errno
+import io
 import json
 import os
 
 import pytest
 
 from repro.experiments import artifacts as artifacts_mod
-from repro.experiments import cache as cache_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments import runner
 from repro.experiments.runner import bundle_for, config_for, plan_bar_jobs
 from repro.ir.serialize import SerializeError, module_from_state, module_to_state
+from repro.obs import log as log_mod
 from repro.obs.bus import CollectorSink, EventBus
+from repro.tlssim.config import SimConfig
 from repro.tlssim.engine import TLSEngine
 from repro.tlssim.oracle import collect_oracle
 from repro.workloads import all_workloads, get_workload
@@ -157,7 +161,7 @@ class TestCorruptionTolerance:
     def test_version_mismatch_is_miss_but_kept(self, tmp_path):
         store, workload, compiled, path = self._warm_store(tmp_path)
         entry = json.loads(path.read_text())
-        entry["pipeline"] = "deadbeef"
+        entry["fingerprint"] = "deadbeef"
         path.write_text(json.dumps(entry))
         artifacts_mod.reset_counters()
         assert store.load_compiled(workload, 0.05) is None
@@ -176,6 +180,65 @@ class TestCorruptionTolerance:
         assert artifacts_mod.compiled_to_state(recompiled) == (
             artifacts_mod.compiled_to_state(reference)
         )
+
+
+def _vector_run_state():
+    program = bundle_for("go").compiled.baseline
+    return TLSEngine(program, config=SimConfig(backend="vector")).run().to_state()
+
+
+#: kind -> a computation that writes (and later reads) entries of it.
+_COMPUTE = {
+    artifacts_mod.KIND_RESULT: lambda: bundle_for("go").simulate("U").to_state(),
+    artifacts_mod.KIND_COMPILED: lambda: artifacts_mod.compiled_to_state(
+        bundle_for("go").compiled
+    ),
+    artifacts_mod.KIND_ORACLE: lambda: artifacts_mod.oracle_to_state(
+        bundle_for("go").oracle_for("baseline")
+    ),
+    artifacts_mod.KIND_KERNEL: _vector_run_state,
+}
+
+
+class TestStoreFaults:
+    @pytest.mark.parametrize("kind", artifacts_mod.KINDS)
+    def test_truncated_entry_recomputed(self, kind, tmp_path, fresh_bundles):
+        """A truncated entry of any kind is unlinked, counted and
+        recomputed to the same value."""
+        artifacts_mod.configure(True, str(tmp_path / "store"))
+        reference = _COMPUTE[kind]()
+        paths = sorted(artifacts_mod.active_store().root.glob(f"*/*.{kind}.json"))
+        assert paths
+        for path in paths:
+            path.write_bytes(path.read_bytes()[:40])
+        runner.clear_cache()
+        artifacts_mod.reset_counters()
+        assert _COMPUTE[kind]() == reference
+        assert artifacts_mod.counters()["corrupt"] == len(paths)
+        for path in paths:  # rewritten whole by the recompute
+            assert json.loads(path.read_text())["payload"] is not None
+
+    def test_full_disk_write_is_dropped(self, tmp_path, fresh_bundles, monkeypatch):
+        """ENOSPC mid-write: the run still returns the store-less
+        result, no temp file is left, and the failure is logged."""
+        reference = bundle_for("go").simulate("U").to_state()
+        runner.clear_cache()
+        store = artifacts_mod.configure(True, str(tmp_path / "store"))
+
+        def full_disk(obj, handle, *args, **kwargs):
+            handle.write('{"schema": ')
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(artifacts_mod.json, "dump", full_disk)
+        logged = io.StringIO()
+        log_mod.configure(stream=logged)
+        try:
+            assert bundle_for("go").simulate("U").to_state() == reference
+        finally:
+            log_mod.configure()
+        assert not list(store.root.rglob(".tmp-*"))
+        assert store.info()["entries"] == 0
+        assert "write_failed" in logged.getvalue()
 
 
 class TestWarmStartProvenance:
@@ -212,7 +275,6 @@ class TestCrossProcessWarmStart:
     def test_prewarmed_store_serves_fresh_workers(self, tmp_path, fresh_bundles):
         """A store warmed by one process feeds pool workers compile-free."""
         artifacts_mod.configure(True, str(tmp_path / "store"))
-        cache_mod.configure(False)  # force the simulations to really run
         for name in ("go", "mcf"):
             bundle_for(name).compiled  # warm the store in this process
         runner.clear_cache()
@@ -285,17 +347,45 @@ class TestStoreManagement:
         legacy.parent.mkdir(parents=True)
         legacy.write_text("{}")
         assert store.info()["entries"] == 0  # no longer a known kind
-        assert main(["cache", "clear", "--cache-dir", str(store.base)]) == 0
+        assert main(["cache", "clear", "--cache-dir", str(store.root)]) == 0
         assert "removed 1 artifact(s)" in capsys.readouterr().out
         assert not legacy.exists()
 
     def test_result_cache_ignores_artifacts(self, tmp_path):
-        """Result-cache info/clear must not touch the sibling store."""
-        root = str(tmp_path / "shared")
-        cache = cache_mod.ResultCache(root)
-        store = artifacts_mod.ArtifactStore(root)
-        cache.put("ab" + "0" * 62, {"x": 1})
+        """Clearing only results must not touch compiled artifacts."""
+        store = artifacts_mod.ArtifactStore(str(tmp_path / "shared"))
+        store.put("ab" + "0" * 62, {"x": 1})
         store.save_compiled(get_workload("go"), 0.05, bundle_for("go").compiled)
-        assert cache.info()["entries"] == 1
-        assert cache.clear() == 1
+        assert store.info()["results"] == 1
+        assert store.clear(kinds=(artifacts_mod.KIND_RESULT,)) == 1
         assert store.info()["entries"] == 1  # artifact survived
+
+    def test_non_entries_under_root_are_left_alone(self, tmp_path):
+        """Flight-recorder dumps and pstats profiles share the root but
+        are not entries: `cache info` skips them, `cache clear` keeps
+        them."""
+        from repro.cli import main
+
+        store = _store(tmp_path)
+        dump = store.root / "flightrec" / "flightrec-1-2.json"
+        profile = store.root / "profiles" / "x.pstats"
+        for path in (dump, profile):
+            path.parent.mkdir(parents=True)
+            path.write_text("{}")
+        assert store.info()["entries"] == 0
+        assert main(["cache", "clear", "--cache-dir", str(store.root)]) == 0
+        assert dump.exists() and profile.exists()
+
+    def test_clear_removes_pre_merge_layout(self, tmp_path):
+        """A plain clear also removes results and artifacts written in
+        the layout before the stores merged."""
+        store = _store(tmp_path)
+        key = "ab" + "0" * 62
+        old_result = store.root / "ab" / f"{key}.json"
+        old_artifact = store.root / "artifacts" / "ab" / f"{key}.compiled.json"
+        for path in (old_result, old_artifact):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("{}")
+        assert store.clear() == 2
+        assert not old_result.exists()
+        assert not (store.root / "artifacts").exists()

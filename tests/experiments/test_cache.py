@@ -1,7 +1,8 @@
-"""The persistent result cache: keys, storage, and bundle integration."""
+"""Stored simulation results: keys, storage, and bundle integration."""
 
 import json
 
+from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import cache as cache_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments import runner
@@ -55,32 +56,34 @@ class TestConfigState:
 
 class TestResultCache:
     def test_put_get_roundtrip(self, tmp_path):
-        cache = cache_mod.ResultCache(str(tmp_path / "c"))
+        cache = artifacts_mod.ArtifactStore(str(tmp_path / "c"))
         cache.put("ab" + "0" * 62, {"x": 1})
         assert cache.get("ab" + "0" * 62) == {"x": 1}
 
     def test_missing_entry_is_none(self, tmp_path):
-        cache = cache_mod.ResultCache(str(tmp_path / "c"))
+        cache = artifacts_mod.ArtifactStore(str(tmp_path / "c"))
         assert cache.get("ff" + "0" * 62) is None
 
     def test_corrupt_entry_dropped(self, tmp_path):
-        cache = cache_mod.ResultCache(str(tmp_path / "c"))
+        cache = artifacts_mod.ArtifactStore(str(tmp_path / "c"))
         key = "ab" + "0" * 62
         cache.put(key, {"x": 1})
-        cache._path(key).write_text("{ not json")
+        cache._path(key, artifacts_mod.KIND_RESULT).write_text("{ not json")
         assert cache.get(key) is None
-        assert not cache._path(key).exists()
+        assert not cache._path(key, artifacts_mod.KIND_RESULT).exists()
 
     def test_schema_mismatch_is_miss(self, tmp_path):
-        cache = cache_mod.ResultCache(str(tmp_path / "c"))
+        cache = artifacts_mod.ArtifactStore(str(tmp_path / "c"))
         key = "ab" + "0" * 62
-        path = cache._path(key)
+        path = cache._path(key, artifacts_mod.KIND_RESULT)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"schema": -1, "payload": {"x": 1}}))
+        artifacts_mod.reset_counters()
         assert cache.get(key) is None
+        assert artifacts_mod.counters()["version_mismatch"] == 1
 
     def test_clear_and_info(self, tmp_path):
-        cache = cache_mod.ResultCache(str(tmp_path / "c"))
+        cache = artifacts_mod.ArtifactStore(str(tmp_path / "c"))
         cache.put("ab" + "0" * 62, {"x": 1})
         cache.put("cd" + "0" * 62, {"y": 2})
         info = cache.info()
@@ -105,7 +108,7 @@ class TestSimResultState:
 
 class TestBundleCaching:
     def test_miss_then_hit_skips_compilation(self, tmp_path, fresh_bundles):
-        cache_mod.configure(True, str(tmp_path / "c"))
+        artifacts_mod.configure(True, str(tmp_path / "c"))
         cold = runner.bundle_for("go").simulate("C")
 
         runner.clear_cache()
@@ -118,7 +121,7 @@ class TestBundleCaching:
         assert run.cache_hits == 1 and run.cache_misses == 0
 
     def test_config_change_invalidates(self, tmp_path, fresh_bundles):
-        cache_mod.configure(True, str(tmp_path / "c"))
+        artifacts_mod.configure(True, str(tmp_path / "c"))
         runner.bundle_for("go").simulate("C")
 
         runner.clear_cache()
@@ -129,7 +132,7 @@ class TestBundleCaching:
         assert metrics_mod.current().cache_misses >= 1
 
     def test_corrupted_entry_recomputed(self, tmp_path, fresh_bundles):
-        cache_mod.configure(True, str(tmp_path / "c"))
+        artifacts_mod.configure(True, str(tmp_path / "c"))
         cold = runner.bundle_for("go").simulate("C")
 
         for path in (tmp_path / "c").rglob("*.json"):
@@ -141,7 +144,7 @@ class TestBundleCaching:
         assert recomputed.to_state() == cold.to_state()
 
     def test_profile_summary_warm_without_compile(self, tmp_path, fresh_bundles):
-        cache_mod.configure(True, str(tmp_path / "c"))
+        artifacts_mod.configure(True, str(tmp_path / "c"))
         cold = runner.bundle_for("go")
         summary = cold.profile_summary()
         hist = cold.distance_histogram()

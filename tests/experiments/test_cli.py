@@ -78,6 +78,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Issue Width" in out
 
+    def test_scorecard_subset_skips_unreachable_claims(self, capsys):
+        """A subset run checks what it can and skips the rest."""
+        assert main(["scorecard", "--workloads", "go,mcf"]) == 0
+        out = capsys.readouterr().out
+        assert "[FAIL]" not in out
+        assert "[PASS] Slot attribution explains 100% of execution time" in out
+        assert (
+            "(§4.2 / Fig. 10) (needs: gzip_decomp, perlbmk, gap, m88ksim, vpr_place)"
+            in out
+        )
+        assert "(§1.2 / Fig. 2) (needs: all 15 workloads)" in out
+        assert "2/2 claims reproduced (10 skipped)" in out
+
     def test_summary(self, capsys):
         assert main(["summary", "--workloads", "go"]) == 0
         out = capsys.readouterr().out

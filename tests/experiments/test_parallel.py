@@ -2,7 +2,7 @@
 
 import json
 
-from repro.experiments import cache as cache_mod
+from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments import runner
 
@@ -71,7 +71,7 @@ class TestDeterminism:
 
 class TestExecuteMetrics:
     def test_cold_then_warm_hits(self, tmp_path, fresh_bundles):
-        cache_mod.configure(True, str(tmp_path / "c"))
+        artifacts_mod.configure(True, str(tmp_path / "c"))
         specs = runner.plan_bar_jobs(["go"], ("U", "C"))
 
         metrics_mod.reset()
@@ -89,7 +89,7 @@ class TestExecuteMetrics:
         assert not runner.bundle_for("go").is_compiled
 
     def test_run_metrics_json(self, tmp_path, fresh_bundles):
-        cache_mod.configure(True, str(tmp_path / "c"))
+        artifacts_mod.configure(True, str(tmp_path / "c"))
         specs = runner.plan_bar_jobs(["go"], ("U",))
         metrics_mod.reset()
         runner.execute_plan(specs, jobs=1)

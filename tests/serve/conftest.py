@@ -2,14 +2,13 @@
 
 Daemon tests default to the inline (``workers=0``) pool so the suite
 stays fast and in-process; one test exercises a real process pool.
-Every daemon gets its own tmp cache root, and the process-wide stores
-are disabled afterwards (mirrors ``tests/experiments/conftest.py``).
+Every daemon gets its own tmp cache root, and the process-wide store
+is disabled afterwards (mirrors ``tests/experiments/conftest.py``).
 """
 
 import pytest
 
 from repro.experiments import artifacts as artifacts_mod
-from repro.experiments import cache as cache_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments import runner
 from repro.serve import pool as pool_mod
@@ -20,7 +19,6 @@ from repro.serve.daemon import EmbeddedDaemon, ServeConfig
 def isolated_stores(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
     yield
-    cache_mod.configure(False)
     artifacts_mod.configure(False)
     artifacts_mod.reset_counters()
     metrics_mod.reset()

@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.experiments import cache as cache_mod
+from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import trace as trace_mod
 from repro.experiments.runner import bundle_for
 from repro.serve.client import (
@@ -35,7 +35,7 @@ FIG10_BARS = ("U", "P", "H", "C", "B")
 
 def _batch_result_bytes(workload: str, bar: str, threshold: float) -> bytes:
     """The batch runner's canonical payload, computed in-process."""
-    cache_mod.configure(False)
+    artifacts_mod.configure(False)
     bundle = bundle_for(workload, threshold=threshold)
     return canonical_result_bytes(bundle.simulate(bar).to_state())
 

@@ -9,7 +9,6 @@ per-request allocations that never die).
 import pytest
 
 from repro.experiments import artifacts as artifacts_mod
-from repro.experiments import cache as cache_mod
 from repro.experiments import metrics as metrics_mod
 
 
@@ -17,7 +16,6 @@ from repro.experiments import metrics as metrics_mod
 def isolated_stores(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
     yield
-    cache_mod.configure(False)
     artifacts_mod.configure(False)
     artifacts_mod.reset_counters()
     metrics_mod.reset()
