@@ -14,9 +14,10 @@ Commands
     Regenerate one of the paper's figures/tables (e.g. ``figure 10``).
 ``report``
     Regenerate the full measured-results document (EXPERIMENTS.md's
-    final section).  ``--jobs N`` fans the simulation matrix out over
-    N worker processes; ``--metrics-out FILE`` writes run metrics as
-    JSON.
+    final section).  The simulation matrix fans out over every usable
+    core by default (``--jobs N`` caps it at N worker processes,
+    ``--jobs 1`` runs serially); ``--metrics-out FILE`` writes run
+    metrics as JSON.
 ``summary``
     One line per workload: U/C/H/B times and the winning scheme.
 ``scorecard``
@@ -82,7 +83,7 @@ from repro.experiments import metrics as metrics_mod
 from repro.obs import log as obs_log
 from repro.experiments import report as report_mod
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import bundle_for
+from repro.experiments.runner import bundle_for, usable_cpus
 from repro.tlssim.config import SimConfig
 from repro.tlssim.stats import normalized_region_time
 from repro.workloads import all_workloads
@@ -94,12 +95,18 @@ def _setup_run(args) -> None:
     """Install the persistent store and reset the metrics collector.
 
     ``--no-cache`` disables the store — a run with it recomputes
-    everything and writes nothing.
+    everything and writes nothing.  An omitted or non-positive
+    ``--jobs`` resolves to the usable CPU count here, so every layer
+    below (and the run metrics) sees the worker count actually used.
     """
     artifacts_mod.configure(
         not getattr(args, "no_cache", False), getattr(args, "cache_dir", None)
     )
-    metrics_mod.reset(workers=max(1, getattr(args, "jobs", 1)))
+    if hasattr(args, "jobs"):
+        args.jobs_given = args.jobs is not None
+        if args.jobs is None or args.jobs < 1:
+            args.jobs = usable_cpus()
+    metrics_mod.reset(workers=getattr(args, "jobs", 1))
     obs_log.configure(
         level=getattr(args, "log_level", "info"),
         json_mode=getattr(args, "log_json", False),
@@ -114,7 +121,7 @@ def _finish_run(args) -> None:
     if metrics_out:
         run.write(metrics_out)
         print(f"wrote {metrics_out}", file=sys.stderr)
-    if metrics_out or getattr(args, "jobs", 1) != 1:
+    if metrics_out or getattr(args, "jobs_given", False):
         print(run.format_summary(), file=sys.stderr)
 
 
@@ -175,18 +182,7 @@ def _cmd_compile(args) -> int:
 def _cmd_simulate(args) -> int:
     _setup_run(args)
     bundle = bundle_for(args.workload, threshold=args.threshold)
-    config = SimConfig(num_cores=args.cores)
-    from repro.experiments.runner import config_for
-
-    result = bundle.simulate(args.bar, base=config) if args.cores == 4 else None
-    if result is None:
-        resolved = config_for(args.bar, config)
-        from repro.experiments.runner import BAR_PROGRAM
-
-        result = bundle.simulate_custom(
-            BAR_PROGRAM[args.bar], resolved,
-            oracle_needed=resolved.oracle_mode != "off",
-        )
+    result = bundle.simulate(args.bar, base=SimConfig(num_cores=args.cores))
     sequential = bundle.simulate("SEQ")
     time, segments = normalized_region_time(result, sequential)
     print(f"workload   : {args.workload}   bar {args.bar}   cores {args.cores}")
@@ -755,8 +751,9 @@ def _add_run_options(parser, jobs: bool = True, metrics: bool = False) -> None:
         parser.add_argument(
             "--jobs",
             type=int,
-            default=1,
-            help="worker processes for the simulation matrix (0 = all cores)",
+            default=None,
+            help="worker processes for the simulation matrix (default and "
+            "0: every usable core; 1 runs serially in-process)",
         )
     if metrics:
         parser.add_argument(

@@ -11,8 +11,8 @@ on —
   the workload sources, the compiler pipeline, and the simulator), so
   any code change invalidates every result;
 * the resolved :class:`~repro.tlssim.config.SimConfig` field values;
-* the workload name, profiling threshold, program binary, and bar
-  label.
+* the workload name, profiling threshold, program binary, and
+  whether the run is epoch-parallel.
 """
 
 from __future__ import annotations
@@ -58,9 +58,11 @@ def result_key(
 ) -> str:
     """Content-hash key for one ``result`` entry.
 
-    ``kind`` distinguishes entry families ('bar', 'custom', 'profile');
-    ``label`` is the bar label or metrics label; ``config_state`` is the
-    resolved simulation configuration (None for compile-only entries).
+    ``kind`` distinguishes entry families ('sim', 'profile'); ``label``
+    names an entry within its family (simulations leave it empty: a
+    result does not depend on which experiment asked for it);
+    ``config_state`` is the resolved simulation configuration (None for
+    compile-only entries).
     The code fingerprint embeds the store's schema version.
     """
     payload = {

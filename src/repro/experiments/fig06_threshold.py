@@ -39,9 +39,7 @@ def run(workloads: Optional[Sequence[str]] = None) -> List[Dict]:
             label = f">{int(threshold * 100)}%"
             load_set = bundle.profile_load_set(threshold)
             config = SimConfig().with_mode(oracle_mode="set", oracle_set=load_set)
-            result = bundle.simulate_custom(
-                "baseline", config, oracle_needed=True, label=label
-            )
+            result = bundle.simulate_custom("baseline", config, label=label)
             time, segments = normalized_region_time(result, sequential)
             rows.append(bar_row(name, label, time, segments))
     return rows

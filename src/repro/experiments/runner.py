@@ -2,11 +2,13 @@
 
 Every figure/table experiment works from the same per-workload bundle:
 the compiled binaries (sequential / U / C / T), their dependence
-profiles, and memoized simulation results for each bar configuration.
-Compilation and simulation are deterministic, so results are memoized
+profiles, and memoized simulation results.  Compilation and simulation
+are deterministic, and a result is fully determined by its program,
+resolved config and parallel flag, so each distinct simulation runs
+once whichever bar or experiment asks for it.  Results are memoized
 at three levels:
 
-* **in-process** — per-bundle dicts, as before;
+* **in-process** — one dict per bundle;
 * **on disk** — the persistent store's ``result`` kind
   (:mod:`repro.experiments.artifacts`), when the CLI enables it;
 * **across cores** — :func:`execute_plan` schedules a sweep of
@@ -20,6 +22,10 @@ co-scheduled with their compile dependency in a single worker task, so
 compiled binaries never cross a process boundary and each workload is
 compiled at most once per run.  Parallelism is across workloads — the
 sweep matrix is 15 workloads wide, which saturates typical machines.
+
+``jobs < 1`` means every usable CPU (:func:`usable_cpus`, also the
+CLI's default ``--jobs``).  If a worker dies, the groups that already
+returned are kept and the parent reruns the rest serially.
 
 Compilation is lazy: a bundle only compiles when a simulation misses
 every cache level or when profile/compile artifacts are requested, so
@@ -35,6 +41,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,6 +51,7 @@ from repro.experiments import cache as cache_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments.scheduler import JobGraph, JobNode, JobSpec, spec_id
 from repro.ir.module import Module
+from repro.obs import log as log_mod
 from repro.tlssim.config import SimConfig
 from repro.tlssim.engine import TLSEngine
 from repro.tlssim.oracle import ValueOracle, collect_oracle
@@ -96,6 +104,16 @@ def config_for(bar: str, base: Optional[SimConfig] = None) -> SimConfig:
     raise ValueError(f"unknown bar {bar!r}")
 
 
+#: What determines a simulation result within one bundle: (program
+#: attribute, resolved config, parallel).
+SimKey = Tuple[str, SimConfig, bool]
+
+
+def bar_key(bar: str, base: Optional[SimConfig] = None) -> SimKey:
+    """The simulation behind one bar label."""
+    return BAR_PROGRAM[bar], config_for(bar, base), bar != "SEQ"
+
+
 @dataclass
 class WorkloadBundle:
     """Compiled binaries plus memoized simulations for one workload."""
@@ -104,8 +122,7 @@ class WorkloadBundle:
     threshold: float = 0.05
     _compiled: Optional[CompiledWorkload] = None
     _oracles: Dict[str, ValueOracle] = field(default_factory=dict)
-    _results: Dict[Tuple[str, SimConfig], SimResult] = field(default_factory=dict)
-    _custom: Dict[Tuple[str, SimConfig], SimResult] = field(default_factory=dict)
+    _sims: Dict[SimKey, SimResult] = field(default_factory=dict)
     _profile_summary: Optional[Dict] = None
     #: compile/oracle provenance records, kept so worker processes can
     #: ship them back to the parent's metrics collector.
@@ -189,121 +206,83 @@ class WorkloadBundle:
                 )
         return oracle
 
-    # -- cache plumbing --------------------------------------------------
-    def _disk_key(
-        self, kind: str, label: str, program: str, config: SimConfig, **extra
-    ) -> str:
+    # -- simulation ------------------------------------------------------
+    def _disk_key(self, key: SimKey) -> str:
+        program, config, parallel = key
         return cache_mod.result_key(
             self.workload.name,
             self.threshold,
-            kind,
-            label,
+            "sim",
+            "",
             program,
             cache_mod.config_to_state(config),
-            extra=extra or None,
+            extra={"parallel": parallel},
         )
 
-    def _disk_get_result(self, key: str) -> Optional[SimResult]:
-        store = artifacts_mod.active_store()
-        payload = store.get(key) if store is not None else None
-        if payload is None:
-            return None
-        try:
-            return SimResult.from_state(payload)
-        except (KeyError, TypeError):
-            return None
-
-    def _disk_put_result(self, key: str, result: SimResult) -> None:
-        store = artifacts_mod.active_store()
-        if store is not None:
-            store.put(key, result.to_state())
-
-    # -- simulation ------------------------------------------------------
-    def simulate(self, bar: str, base: Optional[SimConfig] = None) -> SimResult:
-        """Run one bar; memoized on (bar, resolved config) and on disk."""
-        config = config_for(bar, base)
-        memo_key = (bar, config)
-        cached = self._results.get(memo_key)
-        if cached is not None:
-            return cached
-        disk_key = self._disk_key(
-            "bar", bar, BAR_PROGRAM[bar], config, parallel=(bar != "SEQ")
-        )
-        result = self._disk_get_result(disk_key)
+    def _cached(self, key: SimKey) -> Tuple[Optional[SimResult], str]:
+        """The memo, then the store (a store hit seeds the memo)."""
+        result = self._sims.get(key)
         if result is not None:
-            self._results[memo_key] = result
-            metrics_mod.current().record(
-                self.workload.name, bar, "bar", metrics_mod.SOURCE_CACHE, 0.0,
-                counters=result.counters,
-            )
-            return result
+            return result, metrics_mod.SOURCE_MEMO
+        store = artifacts_mod.active_store()
+        payload = store.get(self._disk_key(key)) if store is not None else None
+        if payload is not None:
+            try:
+                result = SimResult.from_state(payload)
+                self._sims[key] = result
+            except (KeyError, TypeError):
+                pass
+        return result, metrics_mod.SOURCE_CACHE
+
+    def _simulate(self, kind: str, label: str, key: SimKey) -> Tuple[SimResult, str]:
+        """One simulation and where it came from (a ``SOURCE_*``).
+
+        ``key`` is ``(program attribute, resolved config, parallel)``,
+        which fully determines the result, so a bar and a custom run of
+        the same point share one memo entry and one stored result.
+        Store hits and fresh runs are recorded in run metrics under the
+        caller's ``kind`` and ``label``; memo hits are not.
+        """
+        result, source = self._cached(key)
+        if result is not None:
+            if source == metrics_mod.SOURCE_CACHE:
+                metrics_mod.current().record(
+                    self.workload.name, label, kind, source, 0.0,
+                    counters=result.counters,
+                )
+            return result, source
         started = time.perf_counter()
-        program = self.program(bar)
+        program_attr, config, parallel = key
+        program = getattr(self.compiled, program_attr)
         oracle = None
         if config.oracle_mode != "off":
-            oracle = self.oracle_for(BAR_PROGRAM[bar])
-        engine = TLSEngine(
-            program, config=config, oracle=oracle, parallel=(bar != "SEQ")
-        )
-        result = engine.run()
-        self._results[memo_key] = result
-        self._disk_put_result(disk_key, result)
+            oracle = self.oracle_for(program_attr)
+        result = TLSEngine(program, config=config, oracle=oracle, parallel=parallel).run()
+        self._sims[key] = result
+        store = artifacts_mod.active_store()
+        if store is not None:
+            store.put(self._disk_key(key), result.to_state())
         metrics_mod.current().record(
-            self.workload.name,
-            bar,
-            "bar",
-            metrics_mod.SOURCE_COMPUTED,
-            time.perf_counter() - started,
-            counters=result.counters,
+            self.workload.name, label, kind, metrics_mod.SOURCE_COMPUTED,
+            time.perf_counter() - started, counters=result.counters,
         )
-        return result
+        return result, metrics_mod.SOURCE_COMPUTED
+
+    def simulate(self, bar: str, base: Optional[SimConfig] = None) -> SimResult:
+        """Run one bar; memoized on (program, resolved config, parallel)."""
+        return self._simulate("bar", bar, bar_key(bar, base))[0]
 
     def simulate_custom(
-        self,
-        program_attr: str,
-        config: SimConfig,
-        oracle_needed: bool = False,
-        label: Optional[str] = None,
+        self, program_attr: str, config: SimConfig, label: Optional[str] = None
     ) -> SimResult:
         """Simulation with a bespoke config; memoized like a bar.
 
         ``label`` names the job in run metrics (defaults to the
         program attribute).
         """
-        label = label or program_attr
-        memo_key = (program_attr, config)
-        cached = self._custom.get(memo_key)
-        if cached is not None:
-            return cached
-        # The disk key deliberately omits the metrics label: (program,
-        # config) fully determines a custom result, and different call
-        # sites label the same simulation differently.
-        disk_key = self._disk_key("custom", "", program_attr, config)
-        result = self._disk_get_result(disk_key)
-        if result is not None:
-            self._custom[memo_key] = result
-            metrics_mod.current().record(
-                self.workload.name, label, "custom", metrics_mod.SOURCE_CACHE, 0.0,
-                counters=result.counters,
-            )
-            return result
-        started = time.perf_counter()
-        oracle = self.oracle_for(program_attr) if oracle_needed else None
-        engine = TLSEngine(
-            getattr(self.compiled, program_attr), config=config, oracle=oracle
-        )
-        result = engine.run()
-        self._custom[memo_key] = result
-        self._disk_put_result(disk_key, result)
-        metrics_mod.current().record(
-            self.workload.name,
-            label,
-            "custom",
-            metrics_mod.SOURCE_COMPUTED,
-            time.perf_counter() - started,
-            counters=result.counters,
-        )
-        return result
+        return self._simulate(
+            "custom", label or program_attr, (program_attr, config, True)
+        )[0]
 
     # -- profile artifacts (compile-free on a warm cache) ----------------
     def profile_summary(self) -> Dict:
@@ -430,35 +409,46 @@ def _base_config(spec: JobSpec) -> Optional[SimConfig]:
     return None
 
 
-def _resolve_config(spec: JobSpec, bundle: WorkloadBundle) -> Tuple[SimConfig, str, bool]:
-    """(resolved config, program attribute, oracle needed) for a spec.
+def _spec_key(spec: JobSpec, bundle: WorkloadBundle) -> SimKey:
+    """The simulation behind a spec.
 
     ``fig06`` resolution touches the profile summary and may compile.
     """
     if spec.kind == "bar":
-        config = config_for(spec.label, _base_config(spec))
-        return config, BAR_PROGRAM[spec.label], config.oracle_mode != "off"
+        return bar_key(spec.label, _base_config(spec))
     if spec.kind == "custom":
-        config = SimConfig().with_mode(**dict(spec.overrides))
-        return config, spec.program, spec.oracle_needed
+        return spec.program, SimConfig().with_mode(**dict(spec.overrides)), True
     if spec.kind == "fig06":
         load_set = bundle.profile_load_set(spec.param)
         config = SimConfig().with_mode(oracle_mode="set", oracle_set=load_set)
-        return config, spec.program or "baseline", True
+        return spec.program or "baseline", config, True
     raise ValueError(f"unknown job kind {spec.kind!r}")
 
 
-def _run_spec(spec: JobSpec, bundle: WorkloadBundle) -> Optional[SimResult]:
-    """Execute one spec against a bundle (any cache level may serve it)."""
-    if spec.kind == "profile":
-        bundle.profile_summary()
-        return None
-    if spec.kind == "bar":
-        return bundle.simulate(spec.label, _base_config(spec))
-    config, program, oracle_needed = _resolve_config(spec, bundle)
-    return bundle.simulate_custom(
-        program, config, oracle_needed=oracle_needed, label=spec.label
-    )
+def _run_sim(spec: JobSpec, bundle: WorkloadBundle) -> Tuple[SimKey, SimResult, str]:
+    """Execute one simulation spec (any cache level may serve it).
+
+    A memo hit is recorded as such: within a plan it means an earlier
+    spec already ran the same simulation.
+    """
+    key = _spec_key(spec, bundle)
+    result, source = bundle._simulate(spec.kind, spec.label, key)
+    if source == metrics_mod.SOURCE_MEMO:
+        metrics_mod.current().record(
+            spec.workload, spec.label, spec.kind, source, 0.0,
+            counters=result.counters,
+        )
+    return key, result, source
+
+
+def _run_group(name: str, threshold: float, specs: Sequence[JobSpec]) -> None:
+    """Run one workload's pending specs in this process."""
+    bundle = bundle_for(name, threshold)
+    for spec in specs:
+        if spec.kind == "profile":
+            bundle.profile_summary()
+        else:
+            _run_sim(spec, bundle)
 
 
 def _try_resolve_from_cache(spec: JobSpec, bundle: WorkloadBundle) -> bool:
@@ -488,39 +478,11 @@ def _try_resolve_from_cache(spec: JobSpec, bundle: WorkloadBundle) -> bool:
             bundle,
         ):
             return False
-    config, program, _needed = _resolve_config(spec, bundle)
-    if spec.kind == "bar":
-        memo_key = (spec.label, config)
-        memo_hit = bundle._results.get(memo_key)
-        if memo_hit is not None:
-            metrics_mod.current().record(
-                spec.workload, spec.label, spec.kind, metrics_mod.SOURCE_MEMO, 0.0,
-                counters=memo_hit.counters,
-            )
-            return True
-        disk_key = bundle._disk_key(
-            "bar", spec.label, program, config, parallel=(spec.label != "SEQ")
-        )
-        result = bundle._disk_get_result(disk_key)
-        if result is None:
-            return False
-        bundle._results[memo_key] = result
-    else:
-        memo_key = (program, config)
-        memo_hit = bundle._custom.get(memo_key)
-        if memo_hit is not None:
-            metrics_mod.current().record(
-                spec.workload, spec.label, spec.kind, metrics_mod.SOURCE_MEMO, 0.0,
-                counters=memo_hit.counters,
-            )
-            return True
-        disk_key = bundle._disk_key("custom", "", program, config)
-        result = bundle._disk_get_result(disk_key)
-        if result is None:
-            return False
-        bundle._custom[memo_key] = result
+    result, source = bundle._cached(_spec_key(spec, bundle))
+    if result is None:
+        return False
     metrics_mod.current().record(
-        spec.workload, spec.label, spec.kind, metrics_mod.SOURCE_CACHE, 0.0,
+        spec.workload, spec.label, spec.kind, source, 0.0,
         counters=result.counters,
     )
     return True
@@ -529,6 +491,15 @@ def _try_resolve_from_cache(spec: JobSpec, bundle: WorkloadBundle) -> bool:
 # ---------------------------------------------------------------------------
 # parallel execution
 # ---------------------------------------------------------------------------
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _execute_group(payload: Tuple[str, float, List[JobSpec], Optional[str]]) -> Dict:
@@ -558,16 +529,15 @@ def _execute_group(payload: Tuple[str, float, List[JobSpec], Optional[str]]) -> 
                 }
             )
             continue
-        config, program, oracle_needed = _resolve_config(spec, bundle)
-        result = bundle.simulate_custom(
-            program, config, oracle_needed=oracle_needed, label=spec.label
-        ) if spec.kind != "bar" else bundle.simulate(spec.label, _base_config(spec))
+        (program, config, parallel), result, source = _run_sim(spec, bundle)
         out.append(
             {
                 "spec_id": _spec_id(spec),
                 "kind": spec.kind,
-                "config": cache_mod.config_to_state(config),
                 "program": program,
+                "config": cache_mod.config_to_state(config),
+                "parallel": parallel,
+                "source": source,
                 "result": result.to_state(),
                 "wall_s": time.perf_counter() - started,
             }
@@ -608,31 +578,34 @@ def _merge_group(group: Dict, specs_by_id: Dict[str, JobSpec]) -> None:
                 metrics_mod.SOURCE_WORKER, job["wall_s"], worker=group["pid"],
             )
             continue
-        config = cache_mod.config_from_state(job["config"])
+        key = (job["program"], cache_mod.config_from_state(job["config"]),
+               job["parallel"])
         result = SimResult.from_state(job["result"])
-        if spec.kind == "bar":
-            bundle._results[(spec.label, config)] = result
-        else:
-            bundle._custom[(job["program"], config)] = result
+        bundle._sims[key] = result
+        source, wall_s = job["source"], 0.0
+        if source == metrics_mod.SOURCE_COMPUTED:
+            source, wall_s = metrics_mod.SOURCE_WORKER, job["wall_s"]
         metrics_mod.current().record(
-            group["workload"], spec.label, spec.kind,
-            metrics_mod.SOURCE_WORKER, job["wall_s"], worker=group["pid"],
-            counters=result.counters,
+            group["workload"], spec.label, spec.kind, source, wall_s,
+            worker=group["pid"], counters=result.counters,
         )
 
 
 def execute_plan(specs: Sequence[JobSpec], jobs: int = 1) -> JobGraph:
     """Run a sweep of jobs, fanning out across ``jobs`` processes.
 
-    Builds the explicit DAG, serves whatever it can from the memo and
-    the persistent cache, then dispatches each remaining per-workload
-    subgraph (compile node + its pending simulations) to a worker.
-    Results are merged deterministically — iteration order is the spec
-    order, independent of completion order — and seeded into the
-    in-process bundles so subsequent rendering never recomputes.
+    ``jobs < 1`` means every usable CPU.  Builds the explicit DAG,
+    serves whatever it can from the memo and the persistent cache,
+    then dispatches each remaining per-workload subgraph (compile node
+    + its pending simulations) to a worker.  Results are merged
+    deterministically — iteration order is the spec order, independent
+    of completion order — and seeded into the in-process bundles so
+    subsequent rendering never recomputes.  Groups lost to a dead
+    worker (a broken pool) are rerun here, serially, in their place in
+    that order.
     """
     if jobs < 1:
-        jobs = os.cpu_count() or 1
+        jobs = usable_cpus()
     graph = JobGraph.build(specs)
     pending: List[JobSpec] = []
     for node in graph.sim_nodes():
@@ -646,9 +619,8 @@ def execute_plan(specs: Sequence[JobSpec], jobs: int = 1) -> JobGraph:
     specs_by_id = {_spec_id(s): s for s in pending}
     if jobs == 1 or len(groups) == 1:
         # Serial path: run in-process, same memo/disk/metric bookkeeping.
-        for _name, _threshold, group_specs in groups:
-            for spec in group_specs:
-                _run_spec(spec, bundle_for(_name, _threshold))
+        for name, threshold, group_specs in groups:
+            _run_group(name, threshold, group_specs)
         return graph
     results: Dict[str, Dict] = {}
     store_root = artifacts_mod.active_root()
@@ -663,7 +635,10 @@ def execute_plan(specs: Sequence[JobSpec], jobs: int = 1) -> JobGraph:
         while outstanding:
             done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
             for future in done:
-                group = future.result()
+                try:
+                    group = future.result()
+                except BrokenProcessPool:
+                    continue  # rerun below, like every group not returned
                 results[futures[future]] = group
                 # Fold the worker's artifact-store counters in as soon
                 # as its group lands (not at pool shutdown): commutative
@@ -673,9 +648,17 @@ def execute_plan(specs: Sequence[JobSpec], jobs: int = 1) -> JobGraph:
                 artifacts_mod.merge_counters(
                     group.get("artifact_counters", {})
                 )
+    lost = [name for name, _threshold, _specs in groups if name not in results]
+    if lost:
+        log_mod.get_logger("runner").warning(
+            "worker_lost", workloads=",".join(lost)
+        )
     # Deterministic merge: group submission order, spec order within.
-    for name, _threshold, _group_specs in groups:
-        _merge_group(results[name], specs_by_id)
+    for name, threshold, group_specs in groups:
+        if name in results:
+            _merge_group(results[name], specs_by_id)
+        else:
+            _run_group(name, threshold, group_specs)
     return graph
 
 

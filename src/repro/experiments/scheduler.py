@@ -80,7 +80,6 @@ class JobSpec:
     threshold: float = 0.05
     overrides: Tuple[Tuple[str, object], ...] = ()
     param: float = 0.0
-    oracle_needed: bool = False
 
     @property
     def key(self) -> Tuple[str, float]:
