@@ -8,8 +8,10 @@ unrolled into locals, constants inlined and folded with the exact
 rollback-chunk offset tables — and compiles it once per distinct source
 through a process-wide memo (:func:`compile_source`).
 
-Every region is a superblock path, emitted as an ``_epoch``/``_seq``
-kernel pair and dispatched under the ``OP_FUSED2`` superop.  A path
+Every region is a superblock path dispatched under the ``OP_FUSED2``
+superop.  A home region gets an ``_epoch``/``_seq`` kernel pair; a
+suffix region gets an ``_epoch`` kernel only (its sequential slot is
+the shared :func:`replay_seq`, see below).  A path
 keeps executing across *guarded conditional branches* (both sides are
 lowered; the kernel validates the predicted direction at the branch
 and exits to the other target when the guess misses — nothing
@@ -19,11 +21,14 @@ the kernel against the run's store buffer; every other load/store is
 executed in place through the engine's ``_exec_load``/``_exec_store``
 under the exact horizon discipline of the tuple path).
 Synchronization ops fuse the same way: ``wait``/``signal`` delegate to
-the engine's channel machinery (a signal always ends the turn, exactly
-like its tuple twin) and ``check`` runs fully inline.  A straight-line
-pure run is the degenerate path — one span, no guards and no sites.
-The lowering pass also plants *suffix kernels* — the same shape,
-covering a path tail — at mid-path resume indices.
+the engine's channel machinery and ``check`` runs fully inline.  A
+signal always ends the turn, exactly like its tuple twin, so an
+``_epoch`` kernel ends at its first signal: nothing is emitted past
+that return.  A straight-line pure run is the degenerate path — one
+span, no guards and no sites.  The lowering pass also plants *suffix
+kernels* — the same shape, covering a path tail — at mid-path resume
+indices.  A suffix kernel could never run in the sequential loop
+(see :func:`replay_seq`), so suffix regions get no ``_seq`` body.
 
 Exactness contract
 ------------------
@@ -75,8 +80,10 @@ from repro.ir.evalops import BINOP_FUNCS, UNOP_FUNCS
 #: Bump when the generated-kernel ABI, source shape or dispatch layout
 #: changes: enters every persisted-kernel artifact key, so stale kernel
 #: sources can never be loaded into a newer engine.
-#: (2: wait/signal/check fusion + suffix kernels at resume points.)
-CODEGEN_SCHEMA_VERSION = 2
+#: (2: wait/signal/check fusion + suffix kernels at resume points.
+#:  3: epoch kernels end at their first signal; suffix regions have no
+#:     ``_seq`` body.)
+CODEGEN_SCHEMA_VERSION = 3
 
 
 class CodegenError(Exception):
@@ -366,6 +373,21 @@ class ExtSpec:
         self.length = length
 
 
+def replay_seq(regs, clock, eng, frames, mem_load, mem_store, acc, lof,
+               obs):
+    """The sequential slot of every suffix superop.
+
+    Returns ``None`` — the missing-live-in answer — so the sequential
+    engine dispatches the head tuple per-op.  The sequential loop
+    enters blocks at index 0 and resumes after calls at a run start, so
+    it meets a suffix head only on its way through the home region:
+    after the home kernel could not run (step limit, missing live-in)
+    or bailed at a branch guard.  A suffix kernel covers the same path
+    tail and would not have run there either.
+    """
+    return None
+
+
 class _PathEmitter:
     """Emit one extended kernel (``mode`` = "epoch" | "seq").
 
@@ -374,6 +396,12 @@ class _PathEmitter:
     only the memory-value arm) while the epoch path keeps it dynamic on
     ``run.fwd_flag`` — so their live-in sets may differ; the region
     record carries the union.
+
+    A kernel ends at its first unconditional return (``ended``): an
+    epoch signal, or a branch whose direction is known at codegen time
+    and leaves the path.  The emitter still walks the rest of the path,
+    so the expression state — and with it the live-in set the prologue
+    reads — is that of the whole path, but it appends no more lines.
     """
 
     def __init__(self, mode: str, name: str, function_name: str,
@@ -390,15 +418,19 @@ class _PathEmitter:
         self.mem_index = 0         # index into the superop instrs tuple
         self.addr_count = 0
         self.load_count = 0
-        # hoist requirements discovered while emitting
-        self.uses_load = False
-        self.uses_store = False
-        self.uses_branch = False
+        self.ended = False
+        #: prologue hoists ("load", "store", "branch") the body needs
+        self.hoists: set = set()
 
     # -- small emission helpers ---------------------------------------
 
     def emit(self, line: str) -> None:
-        self.body.append(f"    {line}")
+        if not self.ended:
+            self.body.append(f"    {line}")
+
+    def require(self, hoist: str) -> None:
+        if not self.ended:
+            self.hoists.add(hoist)
 
     def mark_dirty(self, reg: str) -> None:
         self.dirty[reg] = None
@@ -496,7 +528,7 @@ class _PathEmitter:
 
     def load_op(self, op: tuple, label_expr: str, index: int) -> None:
         self.sync_point()
-        self.uses_load = True
+        self.require("load")
         p = self.executed
         p1 = p + 1
         addr = self._addr_expr(op[4], op[5])
@@ -547,7 +579,7 @@ class _PathEmitter:
 
     def store_op(self, op: tuple, label_expr: str, index: int) -> None:
         self.sync_point()
-        self.uses_store = True
+        self.require("store")
         p = self.executed
         p1 = p + 1
         addr = self._addr_expr(op[3], op[4])
@@ -654,9 +686,7 @@ class _PathEmitter:
         self._site_preamble(label_expr, index, p1)
         e(f"ex._exec_signal(run, frame, instrs[{site}], {value})")
         e(self.ret(label_expr, index, "clock", p1, "True"))
-        # Everything past an epoch signal is dead code (the return is
-        # unconditional) but still emitted: the sequential twin runs on
-        # through it, and the two bodies are generated op for op.
+        self.ended = True
         self.executed = p1
 
     def check_op(self, op: tuple, label_expr: str, index: int) -> None:
@@ -735,13 +765,14 @@ class _PathEmitter:
                 next_label: Optional[str]) -> None:
         """JUMP terminator; ``next_label`` set when the path continues."""
         self.sync_point()
-        self.uses_branch = True
+        self.require("branch")
         target = op[3]
         self._emit_branch_guards(repr(target), label_expr, index)
         if next_label is None:
             for line in self._branch_exit(repr(target), op[1],
                                           self.executed + 1):
                 self.emit(line)
+            self.ended = True
             self.executed += 1
             return
         # Followed: the branch opens the next pending chunk.
@@ -754,7 +785,7 @@ class _PathEmitter:
                   next_label: Optional[str]) -> None:
         """CONDBR terminator with an optional predicted continuation."""
         self.sync_point()
-        self.uses_branch = True
+        self.require("branch")
         cond = self.state.read(op[3])
         true_t, false_t = op[4], op[5]
         if cond[0] == "const" or true_t == false_t:
@@ -777,6 +808,7 @@ class _PathEmitter:
         if next_label is None:
             for line in self._branch_exit(target_expr, op[1], p1):
                 e(line)
+            self.ended = True
             self.executed = p1
             return
         # Guard: validate the predicted direction; a miss exits to the
@@ -827,21 +859,21 @@ class _PathEmitter:
             lines.append("    except KeyError:")
             lines.append("        return None")
         if self.mode == "epoch":
-            if self.uses_load:
+            if "load" in self.hoists:
                 lines.append("    _wb = run.write_buffer")
                 lines.append("    _om = ex.config.oracle_mode != 'off'")
                 lines.append("    _obs = ex.engine.obs")
                 lines.append(
                     f"    _l1 = ex._lat_l1 / {self.issue_width}"
                 )
-            if self.uses_store:
+            if "store" in self.hoists:
                 lines.append("    _sab = run.sab._entries")
-            if self.uses_branch:
+            if "branch" in self.hoists:
                 lines.append("    _f1 = len(run.frames) == 1")
                 lines.append("    _hdr = ex.info.annotation.header")
                 lines.append("    _blk = ex.info.blocks")
         else:
-            if self.uses_branch:
+            if "branch" in self.hoists:
                 lines.append("    _sq = eng._seq_region")
                 lines.append("    _li = eng._loop_infos")
                 lines.append("    _fl = len(frames)")
@@ -855,22 +887,24 @@ def generate_extended(
     function_name: str,
     spans: Sequence[Tuple[str, Sequence[tuple], int, int]],
     issue_width: int,
+    seq: bool = True,
 ) -> ExtSpec:
-    """Emit the ``_epoch``/``_seq`` kernel pair for a superblock path.
+    """Emit the ``_epoch`` kernel (plus ``_seq`` when ``seq``) for a path.
 
     ``spans`` is the ordered path: ``(label, block_ops, start, end)``
     per block, where every span except possibly the last ends with a
     terminator whose predicted target is the next span's label.  The
     first span's label is the region's home block — exits inside it
     report ``label None`` so the engine resumes without a block
-    refetch.
+    refetch.  Suffix regions pass ``seq=False``: their superop's
+    sequential slot is :func:`replay_seq`.
     """
     sources: List[str] = []
     union_live: Dict[str, None] = {}
     union_outs: Dict[str, None] = {}
     folded = 0
     length = 0
-    for mode in ("epoch", "seq"):
+    for mode in ("epoch", "seq") if seq else ("epoch",):
         emitter = _PathEmitter(mode, name, function_name, issue_width)
         total = 0
         for s, (label, ops, start, end) in enumerate(spans):

@@ -6,8 +6,8 @@ reads, an evalops call, a trace append and a float add per instruction
 — is the remaining wall.  This pass runs once per compiled program: it
 segments each decoded block's opcode column into fused regions and
 lowers every region to one **fused superop** (``OP_FUSED2``) executed
-by a generated, compiled kernel pair (source emission and compilation
-live in :mod:`repro.ir.codegen`).
+by generated, compiled kernels (source emission and compilation live
+in :mod:`repro.ir.codegen`).
 
 One region family is formed: **superblock paths**.  A path starts at
 a maximal run of fusible ops, and when the run reaches its block's
@@ -29,7 +29,11 @@ Because the epoch engine can end a turn at (or just past) any such
 site, lowering additionally plants **suffix kernels** — ordinary
 superops covering the path tail — at every mid-path resume index, so
 the next turn re-enters fused execution instead of replaying the
-remainder per-op (see :func:`_suffix_spans`).
+remainder per-op (see :func:`_suffix_spans`).  Home regions get an
+``_epoch``/``_seq`` kernel pair; suffix regions get an ``_epoch``
+kernel only.  Their superop's sequential slot is the shared
+:func:`repro.ir.codegen.replay_seq`, which sends the engine straight
+back to the head tuple: a suffix kernel could never run there.
 
 Lowering rules
 --------------
@@ -85,8 +89,10 @@ from repro.ir.decode import (
 #: (2: extended superblock regions + codegen'd kernel persistence.
 #:  3: wait/signal/check fusion + suffix kernels at resume points.
 #:  4: one region family — straight pure runs lower to one-span
-#:     extended kernels; tables holding classic entries relower.)
-LOWER_SCHEMA_VERSION = 4
+#:     extended kernels; tables holding classic entries relower.
+#:  5: epoch kernels end at their first signal; suffix regions carry
+#:     no ``_seq`` body (``ExtRegion.has_seq``).)
+LOWER_SCHEMA_VERSION = 5
 
 #: Shortest run worth fusing: a superop costs one dispatch plus one
 #: kernel call, which beats per-op dispatch from two ops up (measured;
@@ -105,19 +111,6 @@ BACKENDS = ("tuples", "vector")
 
 class LowerError(Exception):
     """A region the lowering pass cannot handle (internal invariant)."""
-
-
-# ---------------------------------------------------------------------------
-# codegen templates (canonical definitions live in repro.ir.codegen;
-# re-exported under the historical private names for the template
-# test-suite and any external callers)
-# ---------------------------------------------------------------------------
-
-_wrap_expr = codegen.wrap_expr
-_BINOP_TEMPLATES = codegen.BINOP_TEMPLATES
-_UNOP_TEMPLATES = codegen.UNOP_TEMPLATES
-_atom = codegen.atom
-_trunc_div_expr = codegen.trunc_div_expr
 
 
 #: Region breakers: frame churn and an epoch-path error.
@@ -164,15 +157,16 @@ class ExtRegion:
     the first span's block is the region's home (its head index holds
     the superop).  ``length`` counts every op on the path, across
     blocks — so a function's extended regions may collectively cover
-    more static ops than any one block holds.
+    more static ops than any one block holds.  ``has_seq`` is False for
+    suffix regions, whose source holds no ``_seq`` kernel.
     """
 
     __slots__ = ("spans", "length", "live_ins", "live_outs", "folded",
-                 "name", "source")
+                 "name", "source", "has_seq")
 
     def __init__(self, spans: List[Tuple[str, int, int]], length: int,
                  live_ins: List[str], live_outs: List[str], folded: int,
-                 name: str, source: str):
+                 name: str, source: str, has_seq: bool):
         self.spans = spans
         self.length = length
         self.live_ins = live_ins
@@ -180,6 +174,7 @@ class ExtRegion:
         self.folded = folded
         self.name = name
         self.source = source
+        self.has_seq = has_seq
 
     @property
     def start(self) -> int:
@@ -195,6 +190,7 @@ class ExtRegion:
             "folded": self.folded,
             "name": self.name,
             "source": self.source,
+            "seq": self.has_seq,
         }
 
     @classmethod
@@ -210,6 +206,7 @@ class ExtRegion:
             folded=state["folded"],
             name=state["name"],
             source=state["source"],
+            has_seq=bool(state["seq"]),
         )
 
 
@@ -224,7 +221,8 @@ def _ext_superop(blocks: Dict[str, object], region: ExtRegion,
     limit crossing, missing live-in, zero-progress bail); ``n`` is the
     static op count for the step guards; ``instrs`` carries the Instr
     records of the path's loads, stores, waits and signals in order for
-    engine delegation.
+    engine delegation.  A suffix region's ``fn_seq`` is
+    :func:`repro.ir.codegen.replay_seq`.
     """
     home_label, start, _ = region.spans[0]
     instrs = []
@@ -238,7 +236,11 @@ def _ext_superop(blocks: Dict[str, object], region: ExtRegion,
         0.0,
         blocks[home_label].ops[start],
         namespace[f"{region.name}_epoch"],
-        namespace[f"{region.name}_seq"],
+        (
+            namespace[f"{region.name}_seq"]
+            if region.has_seq
+            else codegen.replay_seq
+        ),
         region.length,
         tuple(instrs),
         region,
@@ -492,6 +494,8 @@ class LoweredProgram:
         all_spans = home_spans + _suffix_spans(decoded, home_spans)
         for counter, spans in enumerate(all_spans):
             kname = f"_x{counter}"
+            # Suffix regions (after the home ones) get no _seq body.
+            has_seq = counter < len(home_spans)
             spec = codegen.generate_extended(
                 kname, name,
                 [
@@ -499,12 +503,14 @@ class LoweredProgram:
                     for slabel, s, e in spans
                 ],
                 self.issue_width,
+                seq=has_seq,
             )
             by_label.setdefault(spans[0][0], []).append(
                 ExtRegion(
                     spans=spans, length=spec.length,
                     live_ins=spec.live_ins, live_outs=spec.live_outs,
                     folded=spec.folded, name=kname, source=spec.source,
+                    has_seq=has_seq,
                 )
             )
         blocks: Dict[str, object] = dict(decoded.blocks)

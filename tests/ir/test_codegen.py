@@ -22,6 +22,8 @@ Three fuzz surfaces pin that down:
 Every generator is seeded (``random.Random(seed)``) — failures replay.
 """
 
+import ast
+
 import pytest
 
 from random import Random
@@ -542,3 +544,119 @@ class TestParallelEngineFuzz:
         assert vec.total_violations() > 0
         assert vec.to_state() == ref.to_state()
         assert vec_engine.fused_regions > 0
+
+
+# ---------------------------------------------------------------------------
+# source shape over the workload suite: only reachable kernel code
+# ---------------------------------------------------------------------------
+
+#: The programs the workload bars run (perfbench ``sim-grid`` warms
+#: exactly these, under the default cost model).
+SHAPE_PROGRAMS = ("baseline", "sync_ref", "sync_train")
+
+#: Ceilings on the distinct kernel source over the 15 workloads x
+#: SHAPE_PROGRAMS, with headroom over today's 4.62 MB and 97 bytes per
+#: fused instruction.
+MAX_SOURCE_BYTES = 5_000_000
+MAX_BYTES_PER_FUSED_INSTR = 110
+
+
+@pytest.fixture(scope="module")
+def suite_regions():
+    """``(where, region, tree, superop, is_home)`` for every fused
+    region of every workload program, as a vector engine lowers it
+    (``tree`` is the parsed source)."""
+    from repro.experiments.runner import bundle_for
+    from repro.workloads import all_workloads
+
+    rows = []
+    for workload in all_workloads():
+        compiled = bundle_for(workload.name).compiled
+        for attr in SHAPE_PROGRAMS:
+            engine = TLSEngine(
+                getattr(compiled, attr), config=SimConfig(backend="vector")
+            )
+            program = engine._program
+            for fname, label, region in program.region_table():
+                ops = program.decoded.block(fname, label).ops
+                run_starts = {s for s, _ in lower._fusible_runs(ops)}
+                rows.append((
+                    f"{workload.name}/{attr}/{fname}:{label}:{region.name}",
+                    region,
+                    ast.parse(region.source),
+                    program.block(fname, label).ops[region.start],
+                    region.start in run_starts,
+                ))
+    return rows
+
+
+def _statements_after_return(tree):
+    """Every statement that follows a ``return`` in the same block."""
+    for node in ast.walk(tree):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if not isinstance(block, list):
+                continue
+            for k, stmt in enumerate(block[:-1]):
+                if isinstance(stmt, ast.Return):
+                    yield block[k + 1]
+
+
+class TestSourceShape:
+    def test_no_statement_follows_an_unconditional_return(
+        self, suite_regions
+    ):
+        dead = []
+        for where, _, tree, _, _ in suite_regions:
+            for stmt in _statements_after_return(tree):
+                dead.append(f"{where} line {stmt.lineno}")
+        assert not dead, dead[:5]
+
+    def test_epoch_kernels_end_at_their_first_signal(self, suite_regions):
+        # A signal always ends the turn: its delegation is the kernel's
+        # second-last top-level statement and the return the last.
+        ended = 0
+        for where, region, tree, _, _ in suite_regions:
+            epoch = next(
+                node for node in tree.body
+                if node.name == f"{region.name}_epoch"
+            )
+            signals = [
+                node for node in ast.walk(epoch)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_exec_signal"
+            ]
+            assert len(signals) <= 1, where
+            if signals:
+                assert isinstance(epoch.body[-1], ast.Return), where
+                assert signals[0] in ast.walk(epoch.body[-2]), where
+                ended += 1
+        assert ended > 0
+
+    def test_suffix_regions_define_no_seq_kernel(self, suite_regions):
+        suffixes = 0
+        for where, region, tree, superop, is_home in suite_regions:
+            defined = {
+                node.name for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+            }
+            assert region.has_seq == is_home, where
+            if is_home:
+                assert defined == {f"{region.name}_epoch",
+                                   f"{region.name}_seq"}, where
+                assert superop[4].__name__ == f"{region.name}_seq", where
+            else:
+                assert defined == {f"{region.name}_epoch"}, where
+                assert superop[4] is codegen.replay_seq, where
+                suffixes += 1
+        assert suffixes > 0
+
+    def test_distinct_source_within_budget(self, suite_regions):
+        lengths = {}
+        for _, region, _, _, _ in suite_regions:
+            lengths[region.source] = region.length
+        total = sum(len(source.encode()) for source in lengths)
+        fused = sum(lengths.values())
+        assert total <= MAX_SOURCE_BYTES, total
+        assert total / fused <= MAX_BYTES_PER_FUSED_INSTR, total / fused

@@ -10,14 +10,15 @@ loudly (``backend_fallback`` counter) but correctly.
 
 import pytest
 
-from repro.ir import lower
+from repro.ir import codegen, lower
 from repro.ir.builder import ModuleBuilder
 from repro.ir.decode import OP_FUSED2, DecodedProgram
 from repro.ir.evalops import BINOP_FUNCS, UNOP_FUNCS
 from repro.ir.interpreter import run_module
+from repro.ir.module import ChannelInfo, ParallelLoop
 from repro.obs.registry import process_registry
 from repro.tlssim.config import SimConfig
-from repro.tlssim.engine import TLSEngine
+from repro.tlssim.engine import EngineError, TLSEngine
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -38,18 +39,18 @@ def _eval_template(expr: str, **bindings):
 class TestCodegenIdentity:
     """Generated expressions must mirror evalops bit for bit."""
 
-    @pytest.mark.parametrize("opname", sorted(lower._BINOP_TEMPLATES))
+    @pytest.mark.parametrize("opname", sorted(codegen.BINOP_TEMPLATES))
     def test_binop_templates_match_evalops(self, opname):
-        template = lower._BINOP_TEMPLATES[opname]
+        template = codegen.BINOP_TEMPLATES[opname]
         reference = BINOP_FUNCS[opname]
         for a in VALUES:
             for b in VALUES:
                 got = _eval_template(template("a", "b"), a=a, b=b)
                 assert got == reference(a, b), f"{opname}({a}, {b})"
 
-    @pytest.mark.parametrize("opname", sorted(lower._UNOP_TEMPLATES))
+    @pytest.mark.parametrize("opname", sorted(codegen.UNOP_TEMPLATES))
     def test_unop_templates_match_evalops(self, opname):
-        template = lower._UNOP_TEMPLATES[opname]
+        template = codegen.UNOP_TEMPLATES[opname]
         reference = UNOP_FUNCS[opname]
         for a in VALUES:
             got = _eval_template(template("a"), a=a)
@@ -59,12 +60,12 @@ class TestCodegenIdentity:
     def test_trunc_div_expr_matches_evalops(self, divisor):
         # The quotient expression pre-wrap must equal _trunc_div; the
         # wrapped forms equal div/mod (incl. the INT64_MIN // -1 wrap).
-        expr = lower._trunc_div_expr("a", divisor)
+        expr = codegen.trunc_div_expr("a", divisor)
         for a in VALUES:
-            div = _eval_template(lower._wrap_expr(expr), a=a)
+            div = _eval_template(codegen.wrap_expr(expr), a=a)
             assert div == BINOP_FUNCS["div"](a, divisor), f"{a} div {divisor}"
-            mod_expr = lower._wrap_expr(
-                f"a - {expr} * {lower._atom(divisor)}"
+            mod_expr = codegen.wrap_expr(
+                f"a - {expr} * {codegen.atom(divisor)}"
             )
             mod = _eval_template(mod_expr, a=a)
             assert mod == BINOP_FUNCS["mod"](a, divisor), f"{a} mod {divisor}"
@@ -407,6 +408,101 @@ class TestSuffixKernels:
         assert any(r.get("kind") == "ext" for _, _, r in original)
         assert original == restored
 
+    def test_round_trip_keeps_the_shared_sequential_slot(self):
+        _, decoded, program = self._ext_program()
+        rebuilt = lower.LoweredProgram.from_state(
+            decoded, program.lower_all().to_state()
+        ).lower_all()
+        suffixes = 0
+        for built in (program, rebuilt):
+            for fname, label, region in built.region_table():
+                superop = built.block(fname, label).ops[region.start]
+                if region.has_seq:
+                    assert superop[4].__name__ == f"{region.name}_seq"
+                else:
+                    assert f"def {region.name}_seq(" not in region.source
+                    assert superop[4] is codegen.replay_seq
+                    suffixes += 1
+        assert suffixes >= 6  # three suffix heads in ``loop``, both sides
+        assert [
+            (f, l, r.has_seq) for f, l, r in program.region_table()
+        ] == [(f, l, r.has_seq) for f, l, r in rebuilt.region_table()]
+
+    def test_step_limit_replay_through_suffix_heads_matches_oracle(self):
+        # Every sequential step budget that runs out in the first three
+        # loop iterations: the home superop at the head of ``loop``
+        # cannot fit, so the engine replays per-op and walks over the
+        # suffix superops at the load, the store and just past it.
+        _, _, program = self._ext_program()
+        loop = program.block("main", "loop")
+        assert len(lower.block_regions(loop)) == 4
+        for limit in range(2, 40):
+            engines, outcomes = [], []
+            for mode in ({"backend": "vector"}, {"backend": "tuples"},
+                         {"fast_path": False}):
+                config = SimConfig(max_region_steps=limit, **mode)
+                engine = TLSEngine(
+                    _mem_loop_module(), config=config, parallel=False
+                )
+                with pytest.raises(EngineError) as caught:
+                    engine.run()
+                outcomes.append((str(caught.value), engine.clock))
+                engines.append(engine)
+            assert outcomes[0] == outcomes[1] == outcomes[2], limit
+            vector, tuples, _ = engines
+            assert vector.instructions == tuples.instructions == limit + 1
+
+    def test_guard_bail_onto_a_suffix_head_replays_per_op(
+        self, monkeypatch
+    ):
+        # The entry path stores, then jumps into a parallelized loop:
+        # the _seq kernel bails at the jump, which is the post-store
+        # suffix head, so the engine dispatches that suffix superop
+        # sequentially — its shared slot answers None and the jump
+        # replays per-op.
+        calls = []
+        replay = codegen.replay_seq
+
+        def counted(*args):
+            calls.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(codegen, "replay_seq", counted)
+        mb = ModuleBuilder("t")
+        mb.global_var("buf", 8)
+        fb = mb.function("main")
+        fb.block("entry")
+        fb.const(0, dest="i")
+        fb.const(7, dest="x")
+        fb.store("@buf", "x", offset=1)
+        fb.jump("loop")
+        fb.block("loop")
+        fb.wait("scalar:i", dest="i")
+        fb.add("i", 1, dest="i.fwd")
+        fb.signal("scalar:i", "i.fwd")
+        value = fb.load("@buf", offset=1)
+        fb.store("@buf", fb.add(value, "i"), offset=1)
+        fb.move("i.fwd", dest="i")
+        fb.condbr(fb.binop("lt", "i", 5), "loop", "done")
+        fb.block("done")
+        fb.ret(fb.load("@buf", offset=1))
+        module = mb.build()
+        module.parallel_loops.append(ParallelLoop(
+            function="main", header="loop", scalar_channels=["scalar:i"]
+        ))
+        module.add_channel(
+            ChannelInfo(name="scalar:i", kind="scalar", scalar="i")
+        )
+        engine = TLSEngine(
+            module, config=SimConfig(backend="vector"), parallel=True
+        )
+        got = engine.run()
+        ref = TLSEngine(
+            module, config=SimConfig(fast_path=False), parallel=True
+        ).run()
+        assert got.to_state() == ref.to_state()
+        assert len(calls) == 1
+        assert engine.fused_instructions > 0
 
 class TestKernelArtifacts:
     def test_kernel_store_round_trip_without_relower(
@@ -416,7 +512,6 @@ class TestKernelArtifacts:
         # the vector program — loading must never re-run the lowering
         # analysis or the codegen emitters.
         from repro.experiments import artifacts as artifacts_mod
-        from repro.ir import codegen
 
         module = _mem_loop_module()
         store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
@@ -487,6 +582,48 @@ class TestKernelArtifacts:
         assert stored["version"] == lower.LOWER_SCHEMA_VERSION
         assert stored == engine._program.to_state()
 
+
+    def test_schema_4_table_is_relowered_and_overwritten(self, tmp_path):
+        # Schema 4 tables carry suffix _seq bodies and epoch code past a
+        # signal, and their regions have no "seq" flag: a store holding
+        # one is relowered and the entry overwritten under schema 5.
+        from repro.experiments import artifacts as artifacts_mod
+
+        module = _mem_loop_module()
+        config = SimConfig(backend="vector")
+        cost_sig = lower.cost_signature(config)
+        old = lower.LoweredProgram(
+            _decoded(module), issue_width=int(config.issue_width)
+        ).lower_all().to_state()
+        old["version"] = 4
+        for labels in old["functions"].values():
+            for regions in labels.values():
+                for region in regions:
+                    del region["seq"]
+        store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
+        store.save_kernels(module, cost_sig, old)
+        lower.set_persistence(store.load_kernels, store.save_kernels)
+        try:
+            engine = TLSEngine(module, config=config, parallel=False)
+            got = engine.run()
+        finally:
+            lower.set_persistence(None, None)
+        ref = TLSEngine(
+            _mem_loop_module(), config=SimConfig(backend="tuples"),
+            parallel=False,
+        ).run()
+        assert engine.fused_instructions > 0
+        assert got.to_state() == ref.to_state()
+        stored = store.load_kernels(module, cost_sig)
+        assert lower.LOWER_SCHEMA_VERSION == 5
+        assert stored["version"] == 5
+        assert stored == engine._program.to_state()
+        assert any(
+            region["seq"] is False
+            for labels in stored["functions"].values()
+            for regions in labels.values()
+            for region in regions
+        )
 
 class TestOpstats:
     def test_program_opstats_counts(self):
