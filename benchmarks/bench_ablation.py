@@ -11,7 +11,7 @@
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import format_table
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import bundle_for
 from repro.tlssim.config import SimConfig
 from repro.tlssim.stats import normalized_region_time

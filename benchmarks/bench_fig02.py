@@ -1,8 +1,8 @@
 """Figure 2 — U vs O (perfect memory value communication potential)."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig02_potential, format_table
-from repro.experiments.reporting import BAR_COLUMNS
+from repro.experiments import fig02_potential
+from repro.experiments.reporting import BAR_COLUMNS, format_table
 
 
 def test_fig02(benchmark, all_names, show):

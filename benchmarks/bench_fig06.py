@@ -1,8 +1,8 @@
 """Figure 6 — dependence-frequency threshold sweep (25% / 15% / 5%)."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig06_threshold, format_table
-from repro.experiments.reporting import BAR_COLUMNS
+from repro.experiments import fig06_threshold
+from repro.experiments.reporting import BAR_COLUMNS, format_table
 
 
 def test_fig06(benchmark, all_names, show):

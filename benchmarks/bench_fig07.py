@@ -1,7 +1,8 @@
 """Figure 7 — dependence distance distribution."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig07_distance, format_table
+from repro.experiments import fig07_distance
+from repro.experiments.reporting import format_table
 
 
 def test_fig07(benchmark, all_names, show):

@@ -1,8 +1,8 @@
 """Figure 8 — compiler-inserted synchronization, train vs ref profiles."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig08_compiler_sync, format_table
-from repro.experiments.reporting import BAR_COLUMNS
+from repro.experiments import fig08_compiler_sync
+from repro.experiments.reporting import BAR_COLUMNS, format_table
 
 
 def test_fig08(benchmark, all_names, show):

@@ -1,8 +1,8 @@
 """Figure 9 — the cost of synchronization itself (E / C / L)."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig09_sync_cost, format_table
-from repro.experiments.reporting import BAR_COLUMNS
+from repro.experiments import fig09_sync_cost
+from repro.experiments.reporting import BAR_COLUMNS, format_table
 
 
 def test_fig09(benchmark, all_names, show):

@@ -1,8 +1,8 @@
 """Figure 10 — compiler vs hardware synchronization vs hybrid."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig10_comparison, format_table
-from repro.experiments.reporting import BAR_COLUMNS
+from repro.experiments import fig10_comparison
+from repro.experiments.reporting import BAR_COLUMNS, format_table
 
 
 def test_fig10(benchmark, all_names, show):

@@ -1,7 +1,8 @@
 """Figure 11 — which scheme would have synchronized each violating load."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig11_overlap, format_table
+from repro.experiments import fig11_overlap
+from repro.experiments.reporting import format_table
 
 
 def test_fig11(benchmark, all_names, show):

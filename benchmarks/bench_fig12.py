@@ -1,7 +1,8 @@
 """Figure 12 — whole-program performance."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig12_program, format_table
+from repro.experiments import fig12_program
+from repro.experiments.reporting import format_table
 
 
 def test_fig12(benchmark, all_names, show):

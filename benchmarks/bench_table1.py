@@ -1,7 +1,8 @@
 """Table 1 — simulation parameters (config self-check)."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import format_table, table1_config
+from repro.experiments import table1_config
+from repro.experiments.reporting import format_table
 
 
 def test_table1(benchmark, show):

@@ -1,7 +1,8 @@
 """Table 2 — region coverage and program speedups."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import format_table, table2_speedups
+from repro.experiments import table2_speedups
+from repro.experiments.reporting import format_table
 
 
 def test_table2(benchmark, all_names, show):

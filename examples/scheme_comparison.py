@@ -11,8 +11,8 @@ Run:  python examples/scheme_comparison.py [workload]
 
 import sys
 
-from repro.experiments import fig11_overlap, format_table
-from repro.experiments.reporting import BAR_COLUMNS, bar_row
+from repro.experiments import fig11_overlap
+from repro.experiments.reporting import BAR_COLUMNS, bar_row, format_table
 from repro.experiments.runner import bundle_for
 
 

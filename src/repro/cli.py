@@ -70,6 +70,9 @@ artifacts in one store under ``.repro_cache/`` (override with
 ``--cache-dir`` or ``REPRO_CACHE_DIR``); ``--no-cache`` disables it
 for one invocation.  They also take ``--log-level``/``--log-json`` to
 control the structured service log (see ``docs/observability.md``).
+
+Importing this module loads only what building the parser needs; each
+``_cmd_*`` imports its own layer when it is dispatched.
 """
 
 from __future__ import annotations
@@ -78,15 +81,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.experiments import artifacts as artifacts_mod
-from repro.experiments import metrics as metrics_mod
 from repro.obs import log as obs_log
-from repro.experiments import report as report_mod
-from repro.experiments.reporting import format_table
-from repro.experiments.runner import bundle_for, usable_cpus
-from repro.tlssim.config import SimConfig
-from repro.tlssim.stats import normalized_region_time
-from repro.workloads import all_workloads
 
 BARS = ("U", "C", "T", "H", "P", "PS", "PC", "B", "E", "L", "O", "SEQ")
 
@@ -99,12 +94,17 @@ def _setup_run(args) -> None:
     ``--jobs`` resolves to the usable CPU count here, so every layer
     below (and the run metrics) sees the worker count actually used.
     """
+    from repro.experiments import artifacts as artifacts_mod
+    from repro.experiments import metrics as metrics_mod
+
     artifacts_mod.configure(
         not getattr(args, "no_cache", False), getattr(args, "cache_dir", None)
     )
     if hasattr(args, "jobs"):
         args.jobs_given = args.jobs is not None
         if args.jobs is None or args.jobs < 1:
+            from repro.experiments.runner import usable_cpus
+
             args.jobs = usable_cpus()
     metrics_mod.reset(workers=getattr(args, "jobs", 1))
     obs_log.configure(
@@ -115,6 +115,8 @@ def _setup_run(args) -> None:
 
 def _finish_run(args) -> None:
     """Write/print run metrics if the command asked for them."""
+    from repro.experiments import metrics as metrics_mod
+
     run = metrics_mod.current()
     run.stop()
     metrics_out = getattr(args, "metrics_out", None)
@@ -126,6 +128,9 @@ def _finish_run(args) -> None:
 
 
 def _cmd_list(_args) -> int:
+    from repro.experiments.reporting import format_table
+    from repro.workloads import all_workloads
+
     rows = [
         {
             "name": w.name,
@@ -143,6 +148,8 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    from repro.experiments.runner import bundle_for
+
     _setup_run(args)
     bundle = bundle_for(args.workload, threshold=args.threshold)
     compiled = bundle.compiled
@@ -180,6 +187,10 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.experiments.runner import bundle_for
+    from repro.tlssim.config import SimConfig
+    from repro.tlssim.stats import normalized_region_time
+
     _setup_run(args)
     bundle = bundle_for(args.workload, threshold=args.threshold)
     result = bundle.simulate(args.bar, base=SimConfig(num_cores=args.cores))
@@ -203,6 +214,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    from repro.experiments import report as report_mod
+
     wanted = args.name.lower().lstrip("fig").lstrip("ure").strip()
     _setup_run(args)
     text = report_mod.generate_report(
@@ -217,6 +230,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from repro.experiments import report as report_mod
+
     _setup_run(args)
     text = report_mod.generate_report(
         workloads=args.workloads, sections=[f"table {args.name.strip()}"],
@@ -231,6 +246,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.experiments import report as report_mod
+
     _setup_run(args)
     text = report_mod.generate_report(workloads=args.workloads, jobs=args.jobs)
     if args.output:
@@ -244,6 +261,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_summary(args) -> int:
+    from repro.experiments import report as report_mod
+
     _setup_run(args)
     for line in report_mod.summary_lines(args.workloads, jobs=args.jobs):
         print(line)
@@ -261,6 +280,8 @@ def _cmd_scorecard(args) -> int:
 
 
 def _cmd_cache(args) -> int:
+    from repro.experiments import artifacts as artifacts_mod
+
     store = artifacts_mod.ArtifactStore(args.cache_dir)
     only = getattr(args, "only", "all")
     if args.action == "clear":
@@ -339,6 +360,7 @@ def _trace_job(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.experiments import trace as trace_mod
+    from repro.tlssim.config import SimConfig
 
     if args.job:
         return _trace_job(args)
@@ -381,8 +403,10 @@ def _load_analysis(spec: str, args):
     import os
 
     from repro.experiments import trace as trace_mod
+    from repro.experiments.runner import bundle_for
     from repro.obs.analysis import attribute_events
     from repro.obs.export import read_jsonl
+    from repro.tlssim.config import SimConfig
 
     if os.path.exists(spec) or spec.endswith(".jsonl"):
         header, events = read_jsonl(spec)
@@ -520,6 +544,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from repro.experiments import runner
+
+    # The workers' compute stack before the daemon's own modules: loaded
+    # after them, the same modules peak ~2 MB higher in every process.
+    runner.load_compute_stack()
     import asyncio
 
     from repro.serve.daemon import Daemon, ServeConfig
@@ -609,16 +638,19 @@ def _cmd_loadgen(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.sweep import (
+    from repro.sweep.grid import (
+        SPECIAL_AXES,
         GridError,
+        build_grid,
         load_grid,
         parse_axis,
+    )
+    from repro.sweep.run import run_sweep
+    from repro.sweep.surface import (
+        pick_axes,
         render_ascii_surface,
         render_html_surface,
-        run_sweep,
     )
-    from repro.sweep.grid import SPECIAL_AXES, build_grid
-    from repro.sweep.surface import pick_axes
 
     _setup_run(args)
     try:
@@ -709,11 +741,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _workload_name(value: str) -> str:
-    names = [workload.name for workload in all_workloads()]
-    if value not in names:
-        raise argparse.ArgumentTypeError(
-            f"unknown workload {value!r}; valid: {', '.join(names)}"
-        )
+    from repro.workloads.base import unknown_workload_error
+
+    error = unknown_workload_error(value)
+    if error:
+        raise argparse.ArgumentTypeError(error)
     return value
 
 

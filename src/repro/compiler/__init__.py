@@ -1,39 +1,1 @@
 """TLS compilation pipeline (paper Section 3.1)."""
-
-from repro.compiler.clone import clone_function, clone_instruction
-from repro.compiler.loop_selection import (
-    LoopStats,
-    find_candidate_loops,
-    profile_loop,
-    select_loops,
-)
-from repro.compiler.pipeline import CompiledWorkload, compile_workload
-from repro.compiler.scalar_sync import (
-    ScalarSyncReport,
-    find_communicating_scalars,
-    insert_all_scalar_sync,
-    insert_scalar_sync,
-)
-from repro.compiler.scheduling import SchedulingReport, schedule_all, schedule_loop
-from repro.compiler.unroll import UnrollReport, choose_unroll_factor, unroll_loop
-
-__all__ = [
-    "CompiledWorkload",
-    "LoopStats",
-    "ScalarSyncReport",
-    "SchedulingReport",
-    "UnrollReport",
-    "choose_unroll_factor",
-    "clone_function",
-    "clone_instruction",
-    "compile_workload",
-    "find_candidate_loops",
-    "find_communicating_scalars",
-    "insert_all_scalar_sync",
-    "insert_scalar_sync",
-    "profile_loop",
-    "schedule_all",
-    "schedule_loop",
-    "select_loops",
-    "unroll_loop",
-]

@@ -1,37 +1,1 @@
 """Memory-resident value synchronization (the paper's contribution)."""
-
-from repro.compiler.memdep.alias import (
-    AliasAnalysis,
-    analyze_aliases,
-    candidate_pair_fraction,
-    may_alias,
-)
-from repro.compiler.memdep.cloning import CloningError, specialize_call_paths
-from repro.compiler.memdep.graph import (
-    DEFAULT_THRESHOLD,
-    DependenceGroup,
-    group_dependences,
-)
-from repro.compiler.memdep.profiler import (
-    LoopDependenceProfile,
-    MemRef,
-    profile_dependences,
-)
-from repro.compiler.memdep.sync_insertion import MemSyncReport, insert_memory_sync
-
-__all__ = [
-    "AliasAnalysis",
-    "CloningError",
-    "DEFAULT_THRESHOLD",
-    "DependenceGroup",
-    "LoopDependenceProfile",
-    "MemRef",
-    "MemSyncReport",
-    "group_dependences",
-    "analyze_aliases",
-    "candidate_pair_fraction",
-    "insert_memory_sync",
-    "may_alias",
-    "profile_dependences",
-    "specialize_call_paths",
-]

@@ -78,16 +78,19 @@ def _locate(
 
 
 def _guard_load(
-    module: Module, function: Function, channel: str, iid: int, in_root: bool
+    function: Function, channel: str, iid: int, in_root: bool, used: Set[str]
 ) -> int:
-    """Wrap one load in the wait/check/select protocol.  Returns its iid."""
+    """Wrap one load in the wait/check/select protocol.  Returns its iid.
+
+    ``used`` is the function's register names; minted ones join it.
+    """
     label, index = _locate(function, iid, in_root, Load)
     block = function.block(label)
     load = block.instructions[index]
     assert isinstance(load, Load)
-    f_addr = function.fresh_reg("f.addr")
-    f_value = function.fresh_reg("f.val")
-    m_value = function.fresh_reg("m.val")
+    f_addr = function.fresh_reg("f.addr", used)
+    f_value = function.fresh_reg("f.val", used)
+    m_value = function.fresh_reg("m.val", used)
     original_dest = load.dest
     load.dest = m_value
     block.insert(index, Wait(f_addr, channel, kind="addr"))
@@ -106,6 +109,7 @@ def _place_signals(
     in_root: bool,
     loop_blocks: Optional[frozenset],
     backedges,
+    used: Set[str],
 ) -> int:
     """Insert signal pairs after last group stores.  Returns site count."""
     cfg = CFG(function)
@@ -131,7 +135,7 @@ def _place_signals(
         addr_operand = store.addr
         insert_at = last_index + 1
         if store.offset:
-            computed = function.fresh_reg("sig.addr")
+            computed = function.fresh_reg("sig.addr", used)
             block.insert(
                 insert_at, BinOp(computed, "add", store.addr, Imm(store.offset))
             )
@@ -167,6 +171,17 @@ def insert_memory_sync(
     loop_blocks = frozenset(natural.blocks)
     backedges = [(latch, loop.header) for latch in natural.latches]
 
+    # One register-name set per function, scanned once: the pass only
+    # adds the registers it mints, so the set stays exact.
+    register_names: Dict[str, Set[str]] = {}
+
+    def used_in(name: str) -> Set[str]:
+        if name not in register_names:
+            register_names[name] = {
+                reg.name for reg in module.function(name).registers()
+            }
+        return register_names[name]
+
     for group in groups:
         channel = f"mem:{loop.function}:{loop.header}:{group.index}"
         module.add_channel(
@@ -184,7 +199,7 @@ def insert_memory_sync(
             target = materialized[tuple(stack)]
             in_root = stack == ()
             guarded = _guard_load(
-                module, module.function(target), channel, iid, in_root
+                module.function(target), channel, iid, in_root, used_in(target)
             )
             module.sync_loads.add(guarded)
             report.loads_synchronized += 1
@@ -242,5 +257,6 @@ def insert_memory_sync(
                 in_root,
                 loop_blocks if in_root else None,
                 backedges if in_root else None,
+                used_in(target),
             )
     return report

@@ -8,19 +8,6 @@ TLS artifacts: loads, stores, calls and synchronization instructions
 are left in place, and blocks named by parallel-loop annotations are
 never merged away.
 
-``optimize_module`` runs all passes to a fixed point.
+:func:`repro.compiler.opt.driver.optimize_module` runs all passes to a
+fixed point.
 """
-
-from repro.compiler.opt.constant_folding import fold_constants
-from repro.compiler.opt.dce import eliminate_dead_code
-from repro.compiler.opt.simplify_cfg import simplify_cfg
-from repro.compiler.opt.driver import OptReport, optimize_function, optimize_module
-
-__all__ = [
-    "OptReport",
-    "eliminate_dead_code",
-    "fold_constants",
-    "optimize_function",
-    "optimize_module",
-    "simplify_cfg",
-]

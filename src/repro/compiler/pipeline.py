@@ -41,7 +41,7 @@ from repro.compiler.memdep.profiler import (
     profile_dependences,
 )
 from repro.compiler.memdep.sync_insertion import MemSyncReport, insert_memory_sync
-from repro.compiler.opt import optimize_module
+from repro.compiler.opt.driver import optimize_module
 from repro.compiler.scalar_sync import ScalarSyncReport, insert_all_scalar_sync
 from repro.compiler.scheduling import SchedulingReport, schedule_all
 from repro.compiler.unroll import choose_unroll_factor, unroll_loop

@@ -1,52 +1,1 @@
 """Per-figure/table experiment harnesses (see DESIGN.md Section 4)."""
-
-from repro.experiments import (  # noqa: F401
-    fig02_potential,
-    fig06_threshold,
-    fig07_distance,
-    fig08_compiler_sync,
-    fig09_sync_cost,
-    fig10_comparison,
-    fig11_overlap,
-    fig12_program,
-    table1_config,
-    table2_speedups,
-)
-from repro.experiments import cache, metrics, report, scheduler, validate  # noqa: F401
-from repro.experiments.reporting import BAR_COLUMNS, bar_row, format_table
-from repro.experiments.runner import (
-    WorkloadBundle,
-    bundle_for,
-    clear_cache,
-    execute_plan,
-    plan_bar_jobs,
-)
-from repro.experiments.scheduler import JobGraph, JobSpec
-
-__all__ = [
-    "BAR_COLUMNS",
-    "JobGraph",
-    "JobSpec",
-    "WorkloadBundle",
-    "bar_row",
-    "bundle_for",
-    "cache",
-    "clear_cache",
-    "execute_plan",
-    "metrics",
-    "plan_bar_jobs",
-    "fig02_potential",
-    "fig06_threshold",
-    "fig07_distance",
-    "fig08_compiler_sync",
-    "fig09_sync_cost",
-    "fig10_comparison",
-    "fig11_overlap",
-    "fig12_program",
-    "format_table",
-    "report",
-    "scheduler",
-    "table1_config",
-    "table2_speedups",
-    "validate",
-]

@@ -69,6 +69,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.compiler.memdep.profiler import profile_dependences
 from repro.compiler.pipeline import compile_workload
 from repro.experiments import artifacts as artifacts_mod
+from repro.experiments import payloads
 from repro.experiments.runner import BAR_PROGRAM, config_for
 from repro.ir.interpreter import Interpreter
 from repro.tlssim.engine import TLSEngine
@@ -291,8 +292,8 @@ def bench_pipeline(
             repeat, lambda: store.load_compiled(workload, threshold)
         )
         if loaded is None or (
-            artifacts_mod.compiled_to_state(loaded)
-            != artifacts_mod.compiled_to_state(compiled)
+            payloads.compiled_to_state(loaded)
+            != payloads.compiled_to_state(compiled)
         ):
             raise RuntimeError(
                 f"{name}: artifact round trip diverged from recompilation"
@@ -321,8 +322,8 @@ def bench_pipeline(
             repeat, lambda: store.load_oracle(workload, threshold, "baseline")
         )
         if loaded_oracle is None or (
-            artifacts_mod.oracle_to_state(loaded_oracle)
-            != artifacts_mod.oracle_to_state(oracle)
+            payloads.oracle_to_state(loaded_oracle)
+            != payloads.oracle_to_state(oracle)
         ):
             raise RuntimeError(
                 f"{name}: oracle round trip diverged from collection"

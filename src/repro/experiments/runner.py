@@ -34,29 +34,33 @@ the same store's compiled artifacts are consulted first: a stored
 :class:`CompiledWorkload` (or value oracle) deserializes in a fraction
 of the compile time and is byte-identical to recompiling, so each
 workload is compiled once per machine rather than once per process.
+
+Importing this module loads no part of the compute stack (compiler,
+engine, oracle collector, process pool): :func:`load_compute_stack`
+imports it on the paths that compute, so a run served wholly from the
+store never loads it.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.compiler.pipeline import CompiledWorkload, compile_workload
 from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import cache as cache_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments.scheduler import JobGraph, JobNode, JobSpec, spec_id
-from repro.ir.module import Module
 from repro.obs import log as log_mod
 from repro.tlssim.config import SimConfig
-from repro.tlssim.engine import TLSEngine
-from repro.tlssim.oracle import ValueOracle, collect_oracle
 from repro.tlssim.stats import SimResult
 from repro.workloads.base import Workload, get_workload
+
+if TYPE_CHECKING:
+    from repro.compiler.pipeline import CompiledWorkload
+    from repro.ir.module import Module
+    from repro.tlssim.oracle import ValueOracle
 
 #: program choice per bar label: which compiled binary runs.
 BAR_PROGRAM = {
@@ -77,6 +81,23 @@ BAR_PROGRAM = {
 #: dependence-frequency thresholds whose load sets are part of the
 #: cached profile summary (the Figure 6 sweep).
 PROFILE_SET_THRESHOLDS = (0.25, 0.15, 0.05)
+
+
+def load_compute_stack() -> None:
+    """Import the compiler, the engine and the oracle collector; with a
+    store active, also lowering, its kernel persistence pointed there.
+
+    A bundle calls this before it first needs its programs and before
+    each simulation it runs; :func:`execute_plan` and the serve pools
+    call it before they start workers, so forked workers inherit the
+    modules.
+    """
+    import repro.compiler.pipeline  # noqa: F401
+    import repro.tlssim.engine  # noqa: F401
+    import repro.tlssim.oracle  # noqa: F401
+
+    if artifacts_mod.active_store() is not None:
+        artifacts_mod.install_kernel_persistence()
 
 
 def config_for(bar: str, base: Optional[SimConfig] = None) -> SimConfig:
@@ -143,6 +164,7 @@ class WorkloadBundle:
         """The compiled binaries; served from the artifact store when
         warm, compiled (and stored) on first access otherwise."""
         if self._compiled is None:
+            load_compute_stack()
             store = artifacts_mod.active_store()
             if store is not None:
                 started = time.perf_counter()
@@ -154,6 +176,8 @@ class WorkloadBundle:
                         time.perf_counter() - started,
                     )
                     return self._compiled
+            from repro.compiler.pipeline import compile_workload
+
             started = time.perf_counter()
             self._compiled = compile_workload(
                 self.workload.name,
@@ -193,6 +217,8 @@ class WorkloadBundle:
                         time.perf_counter() - started,
                     )
                     return oracle
+            from repro.tlssim.oracle import collect_oracle
+
             started = time.perf_counter()
             oracle = collect_oracle(getattr(self.compiled, program_attr))
             self._oracles[program_attr] = oracle
@@ -251,6 +277,9 @@ class WorkloadBundle:
                     counters=result.counters,
                 )
             return result, source
+        from repro.tlssim.engine import TLSEngine
+
+        load_compute_stack()  # the store may have changed since compiling
         started = time.perf_counter()
         program_attr, config, parallel = key
         program = getattr(self.compiled, program_attr)
@@ -398,7 +427,7 @@ def clear_cache() -> None:
 #
 # JobSpec / JobNode / JobGraph moved to repro.experiments.scheduler so
 # the serve daemon can plan work with the same vocabulary; re-exported
-# here (and from repro.experiments) for existing callers.
+# here for existing callers.
 
 _spec_id = spec_id
 
@@ -622,6 +651,10 @@ def execute_plan(specs: Sequence[JobSpec], jobs: int = 1) -> JobGraph:
         for name, threshold, group_specs in groups:
             _run_group(name, threshold, group_specs)
         return graph
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    load_compute_stack()
     results: Dict[str, Dict] = {}
     store_root = artifacts_mod.active_root()
     with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:

@@ -1,46 +1,1 @@
 """Mini-IR: containers, analyses, textual form, and interpreter."""
-
-from repro.ir.basicblock import BasicBlock
-from repro.ir.builder import FunctionBuilder, ModuleBuilder
-from repro.ir.cfg import CFG
-from repro.ir.dominators import DominatorTree
-from repro.ir.function import Function
-from repro.ir.interpreter import Hooks, Interpreter, RunResult, run_module
-from repro.ir.loops import Loop, LoopForest
-from repro.ir.memimage import MemoryImage, WORDS_PER_LINE, line_of
-from repro.ir.module import ChannelInfo, GlobalVar, Module, ParallelLoop
-from repro.ir.operands import GlobalRef, Imm, Reg
-from repro.ir.parser import ParseError, parse_module
-from repro.ir.printer import format_instruction, format_module
-from repro.ir.verifier import VerificationError, verify_module
-
-__all__ = [
-    "BasicBlock",
-    "CFG",
-    "ChannelInfo",
-    "DominatorTree",
-    "Function",
-    "FunctionBuilder",
-    "GlobalRef",
-    "GlobalVar",
-    "Hooks",
-    "Imm",
-    "Interpreter",
-    "Loop",
-    "LoopForest",
-    "MemoryImage",
-    "Module",
-    "ModuleBuilder",
-    "ParallelLoop",
-    "ParseError",
-    "Reg",
-    "RunResult",
-    "VerificationError",
-    "WORDS_PER_LINE",
-    "format_instruction",
-    "format_module",
-    "line_of",
-    "parse_module",
-    "run_module",
-    "verify_module",
-]

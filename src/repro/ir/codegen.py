@@ -99,8 +99,8 @@ MODULUS_MASK = (1 << 64) - 1
 
 
 def wrap_expr(expr: str) -> str:
-    # ((v + 2**63) & (2**64 - 1)) - 2**63 == evalops._wrap(v) for every
-    # int v (two's-complement signed wrap, verified by tests).
+    # ((v + 2**63) & (2**64 - 1)) - 2**63 is the two's-complement
+    # signed wrap of every int v, as in the evalops handlers.
     return f"((({expr}) + {SIGN}) & {MODULUS_MASK}) - {SIGN}"
 
 
@@ -138,7 +138,7 @@ def atom(value) -> str:
 def trunc_div_expr(a: str, c: int) -> str:
     """Truncating ``a`` / nonzero-constant ``c``, matching evalops.
 
-    ``evalops._trunc_div`` computes ``abs(lhs) // abs(rhs)`` negated
+    ``evalops._op_div`` computes ``abs(lhs) // abs(rhs)`` negated
     when the signs differ; Python's floor division over exact ints
     reproduces that case by case (no ``abs`` — the kernel namespace
     has no builtins).

@@ -16,65 +16,89 @@ class InterpreterError(Exception):
 
 MASK = (1 << 64) - 1
 
-
-def _wrap(value: int) -> int:
-    """Wrap to signed 64-bit, like machine arithmetic."""
-    value &= MASK
-    if value >= 1 << 63:
-        value -= 1 << 64
-    return value
-
-
-def _trunc_div(lhs: int, rhs: int) -> int:
-    """C-style truncated integer division (exact for any magnitude)."""
-    quotient = abs(lhs) // abs(rhs)
-    if (lhs < 0) != (rhs < 0):
-        quotient = -quotient
-    return quotient
+# Each wrapping handler is a single call: a result already in the
+# signed 64-bit range returns as is, anything else takes the wrap
+# formula of ``repro.ir.codegen.wrap_expr``.  The constants fold at
+# compile time.  Division truncates toward zero, as in C.
 
 
 def _op_add(lhs: int, rhs: int) -> int:
-    return _wrap(lhs + rhs)
+    value = lhs + rhs
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
 
 
 def _op_sub(lhs: int, rhs: int) -> int:
-    return _wrap(lhs - rhs)
+    value = lhs - rhs
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
 
 
 def _op_mul(lhs: int, rhs: int) -> int:
-    return _wrap(lhs * rhs)
+    value = lhs * rhs
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
 
 
 def _op_div(lhs: int, rhs: int) -> int:
     if rhs == 0:
         raise InterpreterError("division by zero")
-    return _wrap(_trunc_div(lhs, rhs))  # C-style truncation
+    value = abs(lhs) // abs(rhs)
+    if (lhs < 0) != (rhs < 0):
+        value = -value
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
 
 
 def _op_mod(lhs: int, rhs: int) -> int:
     if rhs == 0:
         raise InterpreterError("modulo by zero")
-    return _wrap(lhs - _trunc_div(lhs, rhs) * rhs)
+    quotient = abs(lhs) // abs(rhs)
+    if (lhs < 0) != (rhs < 0):
+        quotient = -quotient
+    value = lhs - quotient * rhs
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
 
 
 def _op_and(lhs: int, rhs: int) -> int:
-    return _wrap(lhs & rhs)
+    value = lhs & rhs
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
 
 
 def _op_or(lhs: int, rhs: int) -> int:
-    return _wrap(lhs | rhs)
+    value = lhs | rhs
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
 
 
 def _op_xor(lhs: int, rhs: int) -> int:
-    return _wrap(lhs ^ rhs)
+    value = lhs ^ rhs
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
 
 
 def _op_shl(lhs: int, rhs: int) -> int:
-    return _wrap(lhs << (rhs & 63))
+    value = lhs << (rhs & 63)
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
 
 
 def _op_shr(lhs: int, rhs: int) -> int:
-    return _wrap(lhs >> (rhs & 63))
+    value = lhs >> (rhs & 63)
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
 
 
 def _op_eq(lhs: int, rhs: int) -> int:
@@ -102,7 +126,10 @@ def _op_ge(lhs: int, rhs: int) -> int:
 
 
 def _op_neg(value: int) -> int:
-    return _wrap(-value)
+    value = -value
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
 
 
 def _op_not(value: int) -> int:

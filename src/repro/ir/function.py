@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.instructions import Instruction
@@ -81,15 +81,21 @@ class Function:
             index += 1
         return f"{base}.{index}"
 
-    def fresh_reg(self, base: str = "t") -> Reg:
-        """Return a register name derived from ``base`` not yet in use."""
-        used = {r.name for r in self.registers()}
-        if base not in used:
-            return Reg(base)
-        index = 1
-        while f"{base}.{index}" in used:
+    def fresh_reg(self, base: str = "t", used: Optional[Set[str]] = None) -> Reg:
+        """Return a register name derived from ``base`` not yet in use.
+
+        ``used`` lets a pass that mints several registers scan the
+        function once: pass the set of its register names, and each
+        minted name is added to it.  Without it, every call rescans.
+        """
+        if used is None:
+            used = {r.name for r in self.registers()}
+        name, index = base, 0
+        while name in used:
             index += 1
-        return Reg(f"{base}.{index}")
+            name = f"{base}.{index}"
+        used.add(name)
+        return Reg(name)
 
     def __repr__(self) -> str:
         return f"<Function {self.name} ({len(self.blocks)} blocks)>"

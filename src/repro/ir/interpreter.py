@@ -54,8 +54,6 @@ from repro.ir.decode import (
 from repro.ir.evalops import (  # noqa: F401  (re-exported legacy API)
     MASK,
     InterpreterError,
-    _trunc_div,
-    _wrap,
     eval_binop,
     eval_unop,
 )

@@ -618,7 +618,7 @@ def unavailable_reason(config) -> Optional[str]:
 _MODULE_CACHE_ATTR = "_repro_lowered_cache"
 
 #: Installed by repro.experiments.artifacts: (load, save) callables
-#: keyed on (module, cost_sig) — see artifacts._install_lowered_hooks().
+#: keyed on (module, cost_sig) — see artifacts.install_kernel_persistence().
 _persistence: Optional[Tuple[Callable, Callable]] = None
 
 

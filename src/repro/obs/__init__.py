@@ -8,90 +8,3 @@ traces and HTML reports; :mod:`repro.obs.analysis` reconstructs the
 engine's exact slot attribution offline and extracts the cross-epoch
 critical path.  See ``docs/observability.md`` and ``docs/analysis.md``.
 """
-
-from repro.obs.analysis import (
-    AnalysisError,
-    RegionAnalysis,
-    RunAnalysis,
-    StallRecord,
-    ascii_report,
-    attribute_events,
-    diff_analyses,
-    diff_report,
-    group_stalls,
-    json_report,
-    render_html,
-)
-from repro.obs.bus import CollectorSink, EventBus
-from repro.obs.events import EPOCH_KINDS, KINDS, SCHEMA_VERSION, Event
-from repro.obs.export import (
-    chrome_trace,
-    html_report,
-    merged_chrome_trace,
-    read_jsonl,
-    spans_chrome_events,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_html_report,
-    write_jsonl,
-)
-from repro.obs.flightrec import FlightRecorder
-from repro.obs.log import StructLogger, get_logger
-from repro.obs.prom import (
-    parse_prometheus_text,
-    render_prometheus,
-    validate_prometheus_text,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSink,
-    engine_counters,
-)
-from repro.obs.spans import Span, SpanContext, parse_traceparent
-
-__all__ = [
-    "AnalysisError",
-    "CollectorSink",
-    "Counter",
-    "EPOCH_KINDS",
-    "Event",
-    "EventBus",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "KINDS",
-    "MetricsRegistry",
-    "MetricsSink",
-    "RegionAnalysis",
-    "RunAnalysis",
-    "SCHEMA_VERSION",
-    "Span",
-    "SpanContext",
-    "StallRecord",
-    "StructLogger",
-    "ascii_report",
-    "attribute_events",
-    "chrome_trace",
-    "diff_analyses",
-    "diff_report",
-    "engine_counters",
-    "get_logger",
-    "group_stalls",
-    "html_report",
-    "json_report",
-    "merged_chrome_trace",
-    "parse_prometheus_text",
-    "parse_traceparent",
-    "read_jsonl",
-    "render_html",
-    "render_prometheus",
-    "spans_chrome_events",
-    "validate_chrome_trace",
-    "validate_prometheus_text",
-    "write_chrome_trace",
-    "write_html_report",
-    "write_jsonl",
-]

@@ -17,5 +17,3 @@
 
 See ``docs/serving.md`` for the API and deployment guide.
 """
-
-from repro.serve.protocol import JobRequest, ProtocolError  # noqa: F401

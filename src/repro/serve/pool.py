@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import metrics as metrics_mod
+from repro.experiments import runner
 from repro.experiments.scheduler import ReadThroughCache
 from repro.obs import flightrec
 from repro.obs import log as log_mod
@@ -68,10 +69,8 @@ def _warm_bundle(workload: str, threshold: float):
     here: exactly one compiles (or loads the artifact), the rest share
     the warmed bundle.
     """
-    from repro.experiments.runner import bundle_for
-
     def _load():
-        bundle = bundle_for(workload, threshold)
+        bundle = runner.bundle_for(workload, threshold)
         bundle.compiled  # force the compile/artifact load once
         return bundle
 
@@ -277,6 +276,7 @@ def _worker_main(
 ) -> None:
     """Process-worker entry point: serve batches until told to stop."""
     artifacts_mod.configure(cache_enabled, cache_root)
+    runner.load_compute_stack()  # kernel persistence, before any job
     artifacts_mod.reset_counters()  # forked workers inherit parent counts
     metrics_mod.reset()
     log_mod.apply_state(log_state)
@@ -329,6 +329,7 @@ class ProcessPool:
         self._stopping = False
 
     def start(self) -> None:
+        runner.load_compute_stack()  # forked workers inherit it
         for worker_id in range(self.size):
             tasks = self._ctx.Queue()
             process = self._ctx.Process(
@@ -414,6 +415,7 @@ class InlinePool:
 
     def start(self) -> None:
         artifacts_mod.configure(self._cache_enabled, self._cache_root)
+        runner.load_compute_stack()
         log_mod.apply_state(self._log_state)
         self._executor = ThreadPoolExecutor(
             max_workers=self.size, thread_name_prefix="repro-serve-inline"

@@ -123,10 +123,11 @@ class JobRequest:
         workload = payload.get("workload")
         if not isinstance(workload, str) or not workload:
             raise ProtocolError("'workload' (string) is required")
-        from repro.workloads import all_workloads
+        from repro.workloads.base import unknown_workload_error
 
-        if workload not in {w.name for w in all_workloads()}:
-            raise ProtocolError(f"unknown workload {workload!r}")
+        error = unknown_workload_error(workload)
+        if error:
+            raise ProtocolError(error)
         bar = payload.get("bar", "C")
         if not isinstance(bar, str) or bar.upper() not in SERVE_BARS:
             raise ProtocolError(

@@ -4,28 +4,3 @@ Declarative config grids (JSON files or CLI axes) fanned through the
 experiment scheduler with resumable progress and scaling-surface
 rendering.  See ``docs/sweeping.md``.
 """
-
-from repro.sweep.grid import (  # noqa: F401
-    GridError,
-    SweepGrid,
-    SweepPoint,
-    load_grid,
-    parse_axis,
-)
-from repro.sweep.run import SweepOutcome, run_sweep  # noqa: F401
-from repro.sweep.surface import (  # noqa: F401
-    render_ascii_surface,
-    render_html_surface,
-)
-
-__all__ = [
-    "GridError",
-    "SweepGrid",
-    "SweepPoint",
-    "load_grid",
-    "parse_axis",
-    "SweepOutcome",
-    "run_sweep",
-    "render_ascii_surface",
-    "render_html_surface",
-]

@@ -156,19 +156,16 @@ class SweepGrid:
 
     def __post_init__(self):
         from repro.experiments.runner import BAR_PROGRAM
-        from repro.workloads import all_workloads
+        from repro.workloads.base import unknown_workload_error
 
         if not self.workloads:
             raise GridError("grid needs at least one workload")
         if not self.bars:
             raise GridError("grid needs at least one bar")
-        known_workloads = {w.name for w in all_workloads()}
         for name in self.workloads:
-            if name not in known_workloads:
-                raise GridError(
-                    f"unknown workload {name!r} "
-                    f"(see `repro list` for the suite)"
-                )
+            error = unknown_workload_error(name)
+            if error:
+                raise GridError(error)
         for bar in self.bars:
             if bar not in BAR_PROGRAM:
                 raise GridError(

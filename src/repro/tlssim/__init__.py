@@ -1,42 +1,1 @@
 """TLS chip-multiprocessor simulator (paper Sections 3.2-3.3)."""
-
-from repro.tlssim.cache import CacheHierarchy, LRUCache
-from repro.tlssim.config import TABLE1, SimConfig, config_for_bar
-from repro.tlssim.engine import EngineError, TLSEngine
-from repro.tlssim.forwarding import ChannelBank, Message, SignalAddressBuffer
-from repro.tlssim.hwsync import ViolatingLoadTable
-from repro.tlssim.oracle import OracleCollector, ValueOracle, collect_oracle
-from repro.tlssim.prediction import LastValuePredictor
-from repro.tlssim.sequential import simulate_sequential, simulate_tls
-from repro.tlssim.stats import (
-    RegionStats,
-    SimResult,
-    SlotBreakdown,
-    ViolationRecord,
-    normalized_region_time,
-)
-
-__all__ = [
-    "CacheHierarchy",
-    "ChannelBank",
-    "EngineError",
-    "LastValuePredictor",
-    "LRUCache",
-    "Message",
-    "OracleCollector",
-    "RegionStats",
-    "SignalAddressBuffer",
-    "SimConfig",
-    "SimResult",
-    "SlotBreakdown",
-    "TABLE1",
-    "TLSEngine",
-    "ValueOracle",
-    "ViolatingLoadTable",
-    "ViolationRecord",
-    "collect_oracle",
-    "config_for_bar",
-    "normalized_region_time",
-    "simulate_sequential",
-    "simulate_tls",
-]

@@ -69,6 +69,15 @@ def get_workload(name: str) -> Workload:
     return _REGISTRY[name]
 
 
+def unknown_workload_error(name: object) -> Optional[str]:
+    """The error every entry point reports for ``name``, or None when
+    it names a workload of the suite."""
+    names = [workload.name for workload in all_workloads()]
+    if name in names:
+        return None
+    return f"unknown workload {name!r}; valid: {', '.join(names)}"
+
+
 # ---------------------------------------------------------------------------
 # deterministic input generation
 # ---------------------------------------------------------------------------

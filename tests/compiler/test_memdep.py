@@ -13,6 +13,7 @@ from repro.ir.builder import ModuleBuilder
 from repro.ir.instructions import Check, Load, Resume, Select, Signal, Store, Wait
 from repro.ir.interpreter import run_module
 from repro.ir.module import ParallelLoop
+from repro.ir.operands import Reg
 from repro.ir.verifier import verify_module
 from repro.tlssim.sequential import simulate_tls
 
@@ -302,6 +303,69 @@ class TestSyncInsertion:
         report = insert_memory_sync(module, module.parallel_loops[0], [])
         assert report.groups == 0
         assert module.instruction_count() == before
+
+
+def _compile_counting_scans(monkeypatch, fresh_reg=None):
+    """Compile bzip2_comp; return its IR text and the ``registers()``
+    scans made by each memory-sync insertion pass."""
+    from repro.compiler import pipeline
+    from repro.ir.function import Function
+    from repro.ir.printer import format_module
+    from repro.workloads import get_workload
+
+    scans = [0]
+    registers = Function.registers
+
+    def counting(self):
+        scans[0] += 1
+        return registers(self)
+
+    per_pass = []
+
+    def insertion(module, loop, groups):
+        before = scans[0]
+        report = insert_memory_sync(module, loop, groups)
+        per_pass.append((scans[0] - before, len(module.functions)))
+        return report
+
+    monkeypatch.setattr(Function, "registers", counting)
+    monkeypatch.setattr(pipeline, "insert_memory_sync", insertion)
+    if fresh_reg is not None:
+        monkeypatch.setattr(Function, "fresh_reg", fresh_reg)
+    workload = get_workload("bzip2_comp")
+    compiled = pipeline.compile_workload(
+        workload.name, workload.build, workload.train_input, workload.ref_input
+    )
+    text = "".join(
+        format_module(getattr(compiled, attr))
+        for attr in ("seq", "baseline", "sync_ref", "sync_train")
+    )
+    return text, per_pass
+
+
+class TestRegisterMinting:
+    def test_one_scan_per_function_per_insertion_pass(self, monkeypatch):
+        _text, per_pass = _compile_counting_scans(monkeypatch)
+        assert per_pass and any(scans for scans, _functions in per_pass)
+        for scans, functions in per_pass:
+            assert scans <= functions
+
+    def test_names_match_a_rescan_per_mint(self, monkeypatch):
+        """Minting from one kept set gives the names a full rescan
+        before every mint gives, so the compiled IR is unchanged."""
+        def rescanning(self, base="t", used=None):
+            taken = {reg.name for reg in self.registers()}
+            name, index = base, 0
+            while name in taken:
+                index += 1
+                name = f"{base}.{index}"
+            return Reg(name)
+
+        text, per_pass = _compile_counting_scans(monkeypatch)
+        with monkeypatch.context() as patch:
+            reference, reference_passes = _compile_counting_scans(patch, rescanning)
+        assert text == reference
+        assert sum(s for s, _f in per_pass) < sum(s for s, _f in reference_passes)
 
 
 class TestFastProfiler:

@@ -2,12 +2,10 @@
 
 from hypothesis import given, settings
 
-from repro.compiler.opt import (
-    eliminate_dead_code,
-    fold_constants,
-    optimize_module,
-    simplify_cfg,
-)
+from repro.compiler.opt.constant_folding import fold_constants
+from repro.compiler.opt.dce import eliminate_dead_code
+from repro.compiler.opt.driver import optimize_module
+from repro.compiler.opt.simplify_cfg import simplify_cfg
 from repro.ir.builder import ModuleBuilder
 from repro.ir.instructions import BinOp, Const, Load, Store
 from repro.ir.interpreter import run_module

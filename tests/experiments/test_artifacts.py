@@ -16,6 +16,7 @@ import os
 import pytest
 
 from repro.experiments import artifacts as artifacts_mod
+from repro.experiments import payloads
 from repro.experiments import metrics as metrics_mod
 from repro.experiments import runner
 from repro.experiments.runner import bundle_for, config_for, plan_bar_jobs
@@ -94,8 +95,8 @@ class TestArtifactRoundTrip:
         store.save_compiled(workload, 0.05, compiled)
         loaded = store.load_compiled(workload, 0.05)
         assert loaded is not None
-        assert artifacts_mod.compiled_to_state(loaded) == (
-            artifacts_mod.compiled_to_state(compiled)
+        assert payloads.compiled_to_state(loaded) == (
+            payloads.compiled_to_state(compiled)
         )
         config = config_for("C").with_mode(fast_path=True)
         fresh_stream, fresh_result = _stream(compiled.sync_ref, config)
@@ -111,8 +112,8 @@ class TestArtifactRoundTrip:
         store.save_oracle(workload, 0.05, "baseline", oracle)
         loaded = store.load_oracle(workload, 0.05, "baseline")
         assert loaded is not None
-        assert artifacts_mod.oracle_to_state(loaded) == (
-            artifacts_mod.oracle_to_state(oracle)
+        assert payloads.oracle_to_state(loaded) == (
+            payloads.oracle_to_state(oracle)
         )
 
     def test_oracle_bar_identical_through_engine(self, tmp_path):
@@ -177,8 +178,8 @@ class TestCorruptionTolerance:
             path.write_text("truncated garbag")
         runner.clear_cache()
         recompiled = bundle_for("go").compiled
-        assert artifacts_mod.compiled_to_state(recompiled) == (
-            artifacts_mod.compiled_to_state(reference)
+        assert payloads.compiled_to_state(recompiled) == (
+            payloads.compiled_to_state(reference)
         )
 
 
@@ -190,10 +191,10 @@ def _vector_run_state():
 #: kind -> a computation that writes (and later reads) entries of it.
 _COMPUTE = {
     artifacts_mod.KIND_RESULT: lambda: bundle_for("go").simulate("U").to_state(),
-    artifacts_mod.KIND_COMPILED: lambda: artifacts_mod.compiled_to_state(
+    artifacts_mod.KIND_COMPILED: lambda: payloads.compiled_to_state(
         bundle_for("go").compiled
     ),
-    artifacts_mod.KIND_ORACLE: lambda: artifacts_mod.oracle_to_state(
+    artifacts_mod.KIND_ORACLE: lambda: payloads.oracle_to_state(
         bundle_for("go").oracle_for("baseline")
     ),
     artifacts_mod.KIND_KERNEL: _vector_run_state,

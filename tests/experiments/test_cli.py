@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workloads.base import unknown_workload_error
 
 
 class TestParser:
@@ -65,9 +66,10 @@ class TestCommands:
     def test_unknown_workload_clean_error(self, argv, capsys):
         with pytest.raises(SystemExit) as caught:
             main(argv)
-        assert caught.value.code != 0
+        assert caught.value.code == 2
         err = capsys.readouterr().err
         assert "unknown workload 'nosuch'; valid: go, " in err
+        assert unknown_workload_error("nosuch") in err
         assert "Traceback" not in err
 
     def test_unknown_figure(self, capsys):

@@ -11,11 +11,10 @@ from repro.experiments import (
     fig10_comparison,
     fig11_overlap,
     fig12_program,
-    format_table,
     table1_config,
     table2_speedups,
 )
-from repro.experiments.reporting import BAR_COLUMNS
+from repro.experiments.reporting import BAR_COLUMNS, format_table
 from repro.experiments.runner import BAR_PROGRAM, bundle_for, config_for
 
 SUBSET = ["go", "m88ksim", "gzip_decomp"]

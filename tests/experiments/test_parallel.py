@@ -1,5 +1,6 @@
 """The parallel runner: planning, determinism, and run metrics."""
 
+import concurrent.futures as futures
 import json
 import os
 import signal
@@ -31,15 +32,16 @@ def _usable_cpus(monkeypatch, count):
 
 
 def _record_pools(monkeypatch):
-    """Record the ``max_workers`` of every pool the runner builds."""
+    """Record the ``max_workers`` of every pool the runner builds (it
+    imports the pool class when it starts one)."""
     sizes = []
-    real = runner.ProcessPoolExecutor
+    real = futures.ProcessPoolExecutor
 
     def pool(max_workers=None):
         sizes.append(max_workers)
         return real(max_workers=max_workers)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", pool)
     return sizes
 
 

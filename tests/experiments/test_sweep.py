@@ -25,6 +25,7 @@ from repro.sweep.surface import (
     render_html_surface,
     surface_table,
 )
+from repro.workloads.base import unknown_workload_error
 
 
 class TestParseAxis:
@@ -59,8 +60,9 @@ class TestGridValidation:
             build_grid(["go"], ["U"], axes=[("bar", ("U",))])
 
     def test_unknown_workload_and_bar(self):
-        with pytest.raises(GridError, match="unknown workload"):
+        with pytest.raises(GridError, match="unknown workload") as caught:
             build_grid(["nope"], ["U"])
+        assert str(caught.value) == unknown_workload_error("nope")
         with pytest.raises(GridError, match="unknown bar"):
             build_grid(["go"], ["XX"])
 

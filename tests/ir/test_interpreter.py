@@ -74,6 +74,76 @@ class TestEvalBinop:
         assert eval_unop("not", 9) == 0
 
 
+def _reference_wrap(value):
+    """Signed 64-bit two's-complement wrap, by modular arithmetic."""
+    return (value + 2**63) % 2**64 - 2**63
+
+
+def _reference_div(lhs, rhs):
+    quotient = abs(lhs) // abs(rhs)
+    return -quotient if (lhs < 0) != (rhs < 0) else quotient
+
+
+#: Operator -> (reference result before any wrap, whether it wraps).
+REFERENCE_BINOPS = {
+    "add": (lambda a, b: a + b, True),
+    "sub": (lambda a, b: a - b, True),
+    "mul": (lambda a, b: a * b, True),
+    "div": (_reference_div, True),
+    "mod": (lambda a, b: a - _reference_div(a, b) * b, True),
+    "and": (lambda a, b: a & b, True),
+    "or": (lambda a, b: a | b, True),
+    "xor": (lambda a, b: a ^ b, True),
+    "shl": (lambda a, b: a << (b & 63), True),
+    "shr": (lambda a, b: a >> (b & 63), True),
+    "eq": (lambda a, b: int(a == b), False),
+    "ne": (lambda a, b: int(a != b), False),
+    "lt": (lambda a, b: int(a < b), False),
+    "le": (lambda a, b: int(a <= b), False),
+    "gt": (lambda a, b: int(a > b), False),
+    "ge": (lambda a, b: int(a >= b), False),
+    "min": (min, False),
+    "max": (max, False),
+}
+
+#: Operands at and beyond the 64-bit boundaries, of both signs.
+BOUNDARY_VALUES = (
+    0, 1, -1, 2, -3, 63, 64, 12345678901234567, -98765432109876543,
+    2**62, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1,
+    2**64 - 1, 2**64, -(2**64), 2**64 + 1, -(2**64) - 1,
+)
+
+
+class TestHandlersAtBoundaries:
+    def test_every_binop_has_a_reference(self):
+        from repro.ir.evalops import BINOP_FUNCS
+
+        assert set(BINOP_FUNCS) == set(REFERENCE_BINOPS)
+
+    @pytest.mark.parametrize("op", sorted(REFERENCE_BINOPS))
+    def test_binop_matches_reference_wrap(self, op):
+        from repro.ir.evalops import BINOP_FUNCS
+
+        handler = BINOP_FUNCS[op]
+        reference, wraps = REFERENCE_BINOPS[op]
+        for lhs in BOUNDARY_VALUES:
+            for rhs in BOUNDARY_VALUES:
+                if op in ("div", "mod") and rhs == 0:
+                    with pytest.raises(InterpreterError):
+                        handler(lhs, rhs)
+                    continue
+                want = reference(lhs, rhs)
+                if wraps:
+                    want = _reference_wrap(want)
+                assert handler(lhs, rhs) == want, f"{op}({lhs}, {rhs})"
+
+    @pytest.mark.parametrize("op", ["neg", "not"])
+    def test_unop_matches_reference_wrap(self, op):
+        for value in BOUNDARY_VALUES:
+            want = _reference_wrap(-value) if op == "neg" else int(not value)
+            assert eval_unop(op, value) == want, f"{op}({value})"
+
+
 def build_sum_loop(n=10, parallel=False):
     mb = ModuleBuilder()
     mb.global_var("acc", 1)

@@ -105,6 +105,15 @@ class TestFunction:
         function.add_block("entry").append(Ret())
         assert function.fresh_reg("t").name == "t.1"
 
+    def test_fresh_reg_with_used_set_adds_minted_names(self):
+        function = Function("f", ["t"])
+        function.add_block("entry").append(Ret())
+        used = {"t", "t.1"}
+        assert function.fresh_reg("t", used).name == "t.2"
+        assert function.fresh_reg("t", used).name == "t.3"
+        assert function.fresh_reg("u", used).name == "u"
+        assert used == {"t", "t.1", "t.2", "t.3", "u"}
+
     def test_instruction_count(self):
         assert simple_function().instruction_count() == 2
 

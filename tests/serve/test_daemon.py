@@ -28,6 +28,7 @@ from repro.serve.protocol import (
     canonical_events_bytes,
     canonical_result_bytes,
 )
+from repro.workloads.base import unknown_workload_error
 
 #: The figure-10 bar sample the serve-smoke CI job pins.
 FIG10_BARS = ("U", "P", "H", "C", "B")
@@ -170,11 +171,15 @@ def test_drain_finishes_inflight_then_refuses_submits(make_daemon):
 
 def test_http_errors(daemon_url):
     with ServeClient(daemon_url) as client:
-        # 400: invalid payload.
+        # 400: invalid payload, worded as every entry point words it.
         status, payload = client._json(
             "POST", "/v1/jobs", {"workload": "no-such-workload"}
         )
-        assert status == 400 and "error" in payload
+        assert status == 400
+        assert payload["error"] == unknown_workload_error("no-such-workload")
+        assert payload["error"].startswith(
+            "unknown workload 'no-such-workload'; valid: go, "
+        )
         # 404: unknown job / unknown route.
         assert client._json("GET", "/v1/jobs/j999")[0] == 404
         assert client._json("GET", "/v1/nope")[0] == 404
