@@ -4,7 +4,7 @@ PY ?= python
 #: worker processes for the report simulation matrix (0 = all cores)
 JOBS ?= 0
 
-.PHONY: install test lint ci bench microbench serve loadgen report scorecard sweep examples clean
+.PHONY: install test lint ci microbench serve report scorecard sweep examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -19,11 +19,6 @@ lint:
 
 ci: lint test
 
-# Engine throughput: fast path vs slow path, written to BENCH_engine.json
-# (the checked-in baseline; see docs/running_experiments.md).
-bench:
-	PYTHONPATH=src $(PY) -m repro bench --pipeline -o BENCH_engine.json
-
 microbench:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only
 
@@ -32,12 +27,6 @@ PORT ?= 8765
 WORKERS ?= 2
 serve:
 	PYTHONPATH=src $(PY) -m repro serve --port $(PORT) --workers $(WORKERS)
-
-# Serving-latency baseline: warm p50/p95/p99 against an embedded
-# daemon, written to BENCH_serve.json (the checked-in baseline).
-loadgen:
-	PYTHONPATH=src $(PY) -m repro loadgen --workloads go,mcf --bars U,C \
-		--duration 10s --workers $(WORKERS) -o BENCH_serve.json --check
 
 report:
 	PYTHONPATH=src $(PY) -m repro report --jobs $(JOBS) \

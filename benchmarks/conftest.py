@@ -14,7 +14,7 @@ runner and the persistent store:
   the timed harnesses measure rendering over warm memos;
 * ``REPRO_BENCH_CACHE=1`` — enable the persistent store
   (``.repro_cache/``), which keeps simulation results and compiled
-  artifacts, so repeated ``make bench`` invocations skip recomputation
+  artifacts, so repeated ``make microbench`` runs skip recomputation
   and recompilation entirely.
 
 Both are off by default: cold timings stay the benchmark baseline.

@@ -27,23 +27,12 @@ Commands
     Manage the persistent store (``info`` / ``clear``): simulation
     results and compiled artifacts share one root; ``clear --only
     results|artifacts|kernels`` scopes the wipe.
-``bench``
-    Engine throughput benchmark: fast path vs slow path, per workload
-    and scheme, written to ``BENCH_engine.json``; ``--profile FILE``
-    additionally dumps cProfile stats of the warm fast-path runs;
-    ``--pipeline`` adds compile/profile/oracle pipeline cells;
-    ``--compare BASELINE`` fails on warm fast-path regressions.
 ``serve``
     Run the simulation-as-a-service daemon: an HTTP/JSON API backed by
     persistent warm workers (compiled artifacts and decoded programs
     stay loaded between jobs), with admission control, same-workload
     batching, single-flight compilation and graceful drain on SIGTERM.
     See ``docs/serving.md``.
-``loadgen``
-    Drive a serve daemon (embedded by default, or ``--url``) at a
-    target rate and report p50/p95/p99 submit-to-done latency; ``-o``
-    writes the ``BENCH_serve.json`` payload and ``--compare`` gates it
-    against a checked-in baseline like ``bench --compare``.
 ``top``
     Live terminal dashboard for a serve daemon: queue occupancy,
     per-worker state, latency percentiles and cache hit rates from
@@ -504,45 +493,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.experiments.bench import (
-        compare_bench,
-        format_bench,
-        format_compare,
-        run_bench,
-        write_bench,
-    )
-
-    payload = run_bench(
-        workloads=args.workloads,
-        schemes=args.schemes,
-        repeat=args.repeat,
-        threshold=args.threshold,
-        profile=args.profile,
-        pipeline=args.pipeline,
-        opstats=args.opstats,
-    )
-    write_bench(payload, args.output)
-    print(format_bench(payload))
-    if args.opstats:
-        from repro.experiments.bench import format_opstats
-
-        print(format_opstats(payload))
-    print(f"wrote {args.output}")
-    if args.compare:
-        with open(args.compare) as handle:
-            baseline = json.load(handle)
-        comparison = compare_bench(
-            payload, baseline, tolerance=args.compare_tolerance
-        )
-        print(format_compare(comparison))
-        if comparison["regressions"]:
-            return 1
-    return 0
-
-
 def _cmd_serve(args) -> int:
     from repro.experiments import runner
 
@@ -580,61 +530,6 @@ def _cmd_top(args) -> int:
     except Exception as exc:
         print(f"top: {exc}", file=sys.stderr)
         return 1
-
-
-def _cmd_loadgen(args) -> int:
-    import json
-
-    from repro.experiments.bench import compare_bench, format_compare
-    from repro.serve.loadgen import (
-        LoadgenConfig,
-        format_loadgen,
-        parse_duration,
-        run_loadgen,
-        write_loadgen,
-    )
-
-    config = LoadgenConfig(
-        workloads=args.workloads or list(LoadgenConfig.workloads),
-        bars=args.bars,
-        threshold=args.threshold,
-        duration_s=parse_duration(args.duration),
-        concurrency=args.concurrency,
-        rate=args.rate,
-        url=args.url or "",
-        workers=args.workers,
-        queue_size=args.queue_size,
-        cache_enabled=not args.no_cache,
-        cache_root=args.cache_dir,
-    )
-    payload = run_loadgen(config)
-    print(format_loadgen(payload))
-    if args.output:
-        write_loadgen(payload, args.output)
-        print(f"wrote {args.output}")
-    status = 0
-    if args.compare:
-        with open(args.compare) as handle:
-            baseline = json.load(handle)
-        comparison = compare_bench(
-            payload, baseline, tolerance=args.compare_tolerance
-        )
-        print(format_compare(comparison))
-        if comparison["regressions"]:
-            status = 1
-    if args.check and not payload["acceptance"]["warm_p50_below_cold"]:
-        print(
-            "loadgen: acceptance FAILED (warm p50 not below cold wall time)",
-            file=sys.stderr,
-        )
-        status = 1
-    if payload["warm"]["errors"]:
-        print(
-            f"loadgen: {payload['warm']['errors']} request error(s)",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
 
 
 def _cmd_sweep(args) -> int:
@@ -954,64 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(analyze_parser, jobs=False)
     analyze_parser.set_defaults(func=_cmd_analyze)
 
-    bench_parser = sub.add_parser(
-        "bench", help="engine throughput benchmark (fast vs slow path)"
-    )
-    bench_parser.add_argument(
-        "--workloads",
-        type=_workload_list,
-        default=None,
-        help="comma-separated workload names (default: all)",
-    )
-    bench_parser.add_argument(
-        "--schemes",
-        type=_scheme_list,
-        default=["U", "C"],
-        help="comma-separated bar labels to benchmark (default U,C)",
-    )
-    bench_parser.add_argument(
-        "-o", "--output", default="BENCH_engine.json",
-        help="result file (default BENCH_engine.json)",
-    )
-    bench_parser.add_argument(
-        "--repeat", type=int, default=3,
-        help="warm runs per cell; the best is recorded (default 3)",
-    )
-    bench_parser.add_argument("--threshold", type=float, default=0.05)
-    bench_parser.add_argument(
-        "--profile",
-        metavar="FILE",
-        default=None,
-        help="dump cProfile stats of the warm fast-path runs to FILE",
-    )
-    bench_parser.add_argument(
-        "--pipeline",
-        action="store_true",
-        help="also benchmark the compile pipeline's fast paths "
-        "(artifact load vs compile, fast vs reference profiler, "
-        "oracle load vs collection)",
-    )
-    bench_parser.add_argument(
-        "--opstats",
-        action="store_true",
-        help="report per-cell opcode frequencies, fused-region length "
-        "histograms and dynamic fused coverage (vector backend)",
-    )
-    bench_parser.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        default=None,
-        help="compare against a checked-in BENCH_engine.json; exit 1 "
-        "on warm fast-path throughput regressions",
-    )
-    bench_parser.add_argument(
-        "--compare-tolerance",
-        type=float,
-        default=0.2,
-        help="allowed fractional throughput drop per cell (default 0.2)",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
-
     serve_parser = sub.add_parser(
         "serve", help="run the simulation-as-a-service HTTP daemon"
     )
@@ -1056,64 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a single snapshot and exit (CI-friendly)",
     )
     top_parser.set_defaults(func=_cmd_top)
-
-    loadgen_parser = sub.add_parser(
-        "loadgen", help="drive a serve daemon and report latency percentiles"
-    )
-    loadgen_parser.add_argument(
-        "--workloads", type=_workload_list, default=None,
-        help="comma-separated workload names (default go,gzip_comp)",
-    )
-    loadgen_parser.add_argument(
-        "--bars", type=_scheme_list, default=["U", "C"],
-        help="comma-separated bar labels to request (default U,C)",
-    )
-    loadgen_parser.add_argument("--threshold", type=float, default=0.05)
-    loadgen_parser.add_argument(
-        "--duration", default="10s",
-        help="warm-phase length, e.g. 10s / 2m (default 10s)",
-    )
-    loadgen_parser.add_argument(
-        "--concurrency", type=int, default=4,
-        help="client threads (default 4)",
-    )
-    loadgen_parser.add_argument(
-        "--rate", type=float, default=0.0,
-        help="target total requests/second; 0 = open throttle (default)",
-    )
-    loadgen_parser.add_argument(
-        "--url", default=None,
-        help="existing daemon base URL; default boots an embedded daemon",
-    )
-    loadgen_parser.add_argument(
-        "--workers", type=int, default=2,
-        help="embedded-daemon worker processes (default 2; ignored "
-        "with --url)",
-    )
-    loadgen_parser.add_argument(
-        "--queue-size", type=int, default=256,
-        help="embedded-daemon queue bound (default 256; ignored with --url)",
-    )
-    loadgen_parser.add_argument(
-        "-o", "--output", default=None,
-        help="write the BENCH_serve.json payload to FILE",
-    )
-    loadgen_parser.add_argument(
-        "--compare", metavar="BASELINE", default=None,
-        help="compare against a checked-in BENCH_serve.json; exit 1 on "
-        "warm-throughput regressions",
-    )
-    loadgen_parser.add_argument(
-        "--compare-tolerance", type=float, default=0.5,
-        help="allowed fractional throughput drop per cell (default 0.5 "
-        "— serving latency is noisier than engine throughput)",
-    )
-    loadgen_parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 unless warm p50 latency beats one cold request",
-    )
-    _add_run_options(loadgen_parser, jobs=False)
-    loadgen_parser.set_defaults(func=_cmd_loadgen)
 
     sweep_parser = sub.add_parser(
         "sweep",

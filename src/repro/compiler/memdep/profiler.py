@@ -279,7 +279,7 @@ def profile_dependences(
     ``fast`` selects the interned-context hooks on the decoded
     interpreter path; ``fast=False`` runs the reference hooks on the
     object-walking interpreter (the two must produce equal profiles —
-    ``repro bench --pipeline`` asserts it).
+    ``tests/compiler/test_memdep.py`` asserts it).
     """
     profiles = {
         (loop.function, loop.header): LoopDependenceProfile(

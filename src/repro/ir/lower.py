@@ -65,8 +65,7 @@ Lowering rules
 
 The per-region :class:`ExtRegion` records keep the register-delta
 footprint (live-ins read, live-outs written), the generated source and
-fold statistics — used for artifact persistence and ``repro bench
---opstats``.
+fold statistics — used for artifact persistence.
 """
 
 from __future__ import annotations
@@ -697,55 +696,3 @@ def note_backend_fallback(reason: str) -> None:
     process_registry().counter(
         "backend_fallback", reason=reason.split(" (")[0]
     ).inc()
-
-
-# ---------------------------------------------------------------------------
-# opstats support
-# ---------------------------------------------------------------------------
-
-#: Opcode index -> mnemonic for opstats reporting (mirrors decode).
-OPCODE_NAMES = (
-    "const", "move", "binop", "divmod", "unop", "select", "resume",
-    "call", "ret", "jump", "condbr", "load", "store", "alloc",
-    "wait", "signal", "check",
-)
-
-
-def program_opstats(program) -> Dict:
-    """Static opcode-frequency and region-length stats for a program.
-
-    ``program`` is a :class:`LoweredProgram` (or a plain
-    :class:`DecodedProgram`, in which case there are no regions).
-    Counts are static (per lowered instruction); dynamic coverage comes
-    from the engines' ``fused_instructions``/``instructions`` counters.
-    Extended regions span blocks, so ``fused_static`` may exceed the
-    per-block static instruction count (chained prefixes are counted
-    once per region that fuses them).
-    """
-    decoded = getattr(program, "decoded", program)
-    counts = [0] * len(OPCODE_NAMES)
-    region_lengths: List[int] = []
-    folded = 0
-    spans = 0
-    for name in decoded.module.functions:
-        function = program.function(name)
-        for label in sorted(function.blocks):
-            # Count original opcodes, not the superop placeholders.
-            for op in decoded.block(name, label).ops:
-                counts[op[0]] += 1
-            for region in block_regions(function.blocks[label]):
-                region_lengths.append(region.length)
-                folded += region.folded
-                spans += len(region.spans)
-    return {
-        "opcodes": {
-            OPCODE_NAMES[i]: count for i, count in enumerate(counts) if count
-        },
-        "static_instructions": sum(counts),
-        "regions": len(region_lengths),
-        "region_lengths": region_lengths,
-        "fused_static": sum(region_lengths),
-        "folded_ops": folded,
-        "ext_regions": len(region_lengths),
-        "ext_spans": spans,
-    }

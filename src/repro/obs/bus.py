@@ -4,9 +4,9 @@ Design constraints, in priority order:
 
 1. **Zero cost when absent.**  The engine holds ``obs = None`` by
    default and guards every emission with one ``is not None`` check;
-   no bus, sink or event object is ever allocated on that path.  The
-   ``repro bench --compare`` gate holds the residual overhead of the
-   guards themselves under the 2 % budget.
+   no bus, sink or event object is ever allocated on that path
+   (``tests/obs/test_bus.py`` counts :class:`Event` constructions on a
+   detached run).
 2. **Path equivalence.**  All emission points live in engine code that
    executes in identical global order on the slow and fast paths, so
    an attached bus observes byte-identical streams from both.

@@ -11,9 +11,7 @@
 * :mod:`repro.serve.daemon` — the asyncio daemon: admission control,
   same-workload batching, single-flight compilation, graceful drain.
 * :mod:`repro.serve.client` — a small blocking HTTP client used by
-  tests, CI, and the load generator.
-* :mod:`repro.serve.loadgen` — ``repro loadgen``: drives the daemon
-  at a target rate and reports p50/p95/p99 latency percentiles.
+  tests, CI, ``repro top`` and the benchmark.
 
 See ``docs/serving.md`` for the API and deployment guide.
 """

@@ -770,7 +770,7 @@ class Daemon:
 
 
 # ---------------------------------------------------------------------------
-# embedded daemon (tests, loadgen)
+# embedded daemon (tests)
 # ---------------------------------------------------------------------------
 
 

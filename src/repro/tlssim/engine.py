@@ -264,7 +264,7 @@ class TLSEngine:
         )
         #: resolved execution backend ("tuples" unless the vector
         #: backend was requested *and* is available here); fused-region
-        #: counters are benchmark/opstats-only, like ``instructions``.
+        #: counters only feed coverage figures, like ``instructions``.
         self.backend = "tuples"
         self.fused_instructions = 0
         self.fused_regions = 0
@@ -299,20 +299,6 @@ class TLSEngine:
             self._loop_infos[(annotation.function, annotation.header)] = _LoopInfo(
                 annotation=annotation, blocks=frozenset(loop.blocks)
             )
-
-    def opstats(self) -> Dict:
-        """Static opcode/region stats of the program this engine walks.
-
-        Delegates to :func:`repro.ir.lower.program_opstats`; with the
-        tuples backend there are simply no fused regions.  Dynamic
-        coverage is ``fused_instructions / instructions`` after a run.
-        """
-        from repro.ir import lower as lower_mod
-
-        program = self._program
-        if program is None:  # slow path: decode on demand for stats
-            program = DecodedProgram(self.module, self.memory.addr_of, self._dt_of)
-        return lower_mod.program_opstats(program)
 
     def _check_scalar_channels(self, annotation, cfg, loop) -> None:
         """Every loop-carried register must have a scalar channel.
@@ -1377,7 +1363,7 @@ class _RegionExecution:
                 # Keep the fused counter consistent with the step
                 # rollback: discard the chunk entries past the cut so
                 # fused coverage never exceeds the net instruction
-                # count (benchmark/opstats bookkeeping only).
+                # count (coverage bookkeeping only).
                 if fused_spans:
                     fused_over = sum(
                         end - max(start, k)

@@ -25,6 +25,14 @@ class TestParser:
         )
         assert args.workloads == ["go", "twolf"]
 
+    def test_bar_list_parsing(self):
+        args = build_parser().parse_args(["sweep", "--bars", "u, seq"])
+        assert args.bars == ["U", "SEQ"]
+
+    def test_bad_bar_list_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--bars", "U,Z"])
+
 
 class TestCommands:
     def test_list(self, capsys):

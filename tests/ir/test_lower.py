@@ -624,21 +624,3 @@ class TestKernelArtifacts:
             for regions in labels.values()
             for region in regions
         )
-
-class TestOpstats:
-    def test_program_opstats_counts(self):
-        decoded = _decoded(_arith_module())
-        program = lower.LoweredProgram(decoded).lower_all()
-        stats = lower.program_opstats(program)
-        assert stats["regions"] >= 1
-        assert stats["fused_static"] == sum(stats["region_lengths"])
-        assert stats["static_instructions"] == sum(stats["opcodes"].values())
-        assert stats["opcodes"]["binop"] >= 3
-        assert min(stats["region_lengths"]) >= lower.MIN_REGION_LEN
-
-    def test_plain_decoded_program_has_no_regions(self):
-        decoded = _decoded(_arith_module())
-        stats = lower.program_opstats(decoded)
-        assert stats["regions"] == 0
-        assert stats["fused_static"] == 0
-        assert stats["static_instructions"] > 0

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.experiments.runner import bundle_for, config_for
 from repro.obs.bus import CollectorSink, EventBus
 from repro.obs.events import ENVELOPE_KEYS, EPOCH_KINDS, KINDS, Event
+from repro.tlssim.engine import TLSEngine
 
 
 class TestEventTaxonomy:
@@ -93,3 +95,44 @@ class TestEventBus:
         bus.emit("squash", 2.0, epoch=1, reason="store")
         bus.emit("commit", 3.0, epoch=1)
         assert [e.time for e in collector.of_kind("commit")] == [1.0, 3.0]
+
+
+#: The three engine paths: the slow oracle, per-op tuples, fused kernels.
+ENGINE_MODES = {
+    "slow": {"fast_path": False},
+    "tuples": {"fast_path": True, "backend": "tuples"},
+    "vector": {"fast_path": True, "backend": "vector"},
+}
+
+
+class TestDetachedBus:
+    """Zero cost when absent: a detached engine builds no event at all."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every :class:`Event` constructed while the test runs."""
+        events = []
+        init = Event.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            events.append(self)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        return events
+
+    @pytest.mark.parametrize("mode", sorted(ENGINE_MODES))
+    def test_detached_run_builds_no_events(self, mode, built):
+        program = bundle_for("go").program("C")
+        config = config_for("C").with_mode(**ENGINE_MODES[mode])
+
+        TLSEngine(program, config=config, parallel=True, obs=None).run()
+        assert built == []
+
+        # Positive control: the same run with a bus attached builds
+        # exactly the events its collector receives.
+        bus = EventBus()
+        collector = bus.attach(CollectorSink())
+        TLSEngine(program, config=config, parallel=True, obs=bus).run()
+        assert collector.events
+        assert built == collector.events

@@ -8,7 +8,9 @@ admission control (429), drain (503), and per-job artifact-counter
 flush through a real process pool.
 """
 
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -93,6 +95,43 @@ def test_status_lifecycle_and_artifact_counters(daemon_url):
         assert stats["jobs"]["states"] == {"done": 2}
         assert stats["latency"]["C"]["count"] == 2
         assert stats["queue"]["rejected"] == 0
+
+
+def test_warm_requests_beat_the_cold_request(daemon_url):
+    """Two concurrent clients on a warm key: memo hits, faster than cold.
+
+    The nightly process-worker soak in ``tests/stability`` runs the
+    same gates at scale.
+    """
+    request = JobRequest(workload="go", bar="U")
+    with ServeClient(daemon_url) as client:
+        started = time.perf_counter()
+        cold = client.run(request)
+        cold_wall = time.perf_counter() - started
+        assert cold["state"] == DONE and cold["source"] == "computed"
+        cold_bytes = client.result_bytes(cold["job"])
+
+    latencies, problems = [], []
+
+    def warm_client():
+        with ServeClient(daemon_url) as client:
+            for _ in range(20):
+                started = time.perf_counter()
+                status = client.run(request)
+                latencies.append(time.perf_counter() - started)
+                if status["source"] != "memo":
+                    problems.append(status)
+                elif client.result_bytes(status["job"]) != cold_bytes:
+                    problems.append("result diverged")
+
+    threads = [threading.Thread(target=warm_client) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert problems == []
+    assert len(latencies) == 40
+    assert statistics.median(latencies) < cold_wall
 
 
 def test_warm_worker_serves_vector_jobs_without_recompiling(daemon_url):

@@ -3,8 +3,7 @@
 On the three largest workloads, the share of dynamic instructions a
 ``vector`` engine executes inside fused kernels must stay at or
 above its floor in ``benchmarks/fused_floors.json``.  Each cell also
-checks the vector result against the tuples path, as ``repro bench``
-does for the same cells.
+checks the vector result against the tuples path.
 """
 
 import json

@@ -10,11 +10,17 @@ that balloon.  This tier hammers one embedded daemon with warm submits
 * tracemalloc growth ratio below a small bound once warm,
 * the job-record retention cap actually bounding the daemon's map.
 
+A second daemon soak runs two process workers under four concurrent
+clients and gates on latency: warm answers come from the worker memo
+and beat every cold request.
+
 Iteration count scales with ``REPRO_SOAK_ITERS`` (default 300 — about
 a minute; the nightly workflow raises it).
 """
 
 import os
+import statistics
+import threading
 import time
 
 import pytest
@@ -92,6 +98,106 @@ def test_soak_warm_submits_do_not_leak(tmp_path, memory_tracker):
         )
     finally:
         embedded.stop()
+
+
+#: Concurrent client threads and request matrix of the process soak.
+CLIENTS = 4
+MATRIX = [
+    JobRequest(workload=workload, bar=bar)
+    for workload in ("go", "mcf")
+    for bar in ("U", "C")
+]
+
+
+@pytest.mark.stability
+def test_soak_process_workers_answer_warm_from_memo(tmp_path):
+    """Warm requests through two process workers: memo, identical, fast.
+
+    A request is *warm* when the worker that answered it had already
+    finished the same cell before the request was sent, so that
+    worker's bundle memo holds the result.  Other requests are first
+    touches of a cell on the second worker (affinity spills under
+    concurrency) and are only checked for errors and identity.
+
+    Gates: no error or rejection over the soak; every warm source is
+    ``memo``; every answer is byte-identical to the cold one; the warm
+    p50 latency is below the fastest cold request.
+    """
+    config = ServeConfig(
+        port=0, workers=2, cache_root=str(tmp_path / "soak-cache")
+    )
+    embedded = EmbeddedDaemon(config)
+    base_url = embedded.start()
+    lock = threading.Lock()
+    finished = set()  # (worker pid, cell) pairs that have answered
+    warm = []  # (source, submit-to-done seconds) of warm requests
+    problems = []
+    try:
+        cold_bytes, cold_walls = {}, []
+        with ServeClient(base_url) as client:
+            for request in MATRIX:
+                cell = (request.workload, request.bar)
+                started = time.perf_counter()
+                status = client.run(request)
+                cold_walls.append(time.perf_counter() - started)
+                assert status["state"] == DONE, status.get("error")
+                assert status["source"] == "computed"
+                cold_bytes[cell] = client.result_bytes(status["job"])
+                finished.add((status["worker_pid"], cell))
+
+        def client_loop(offset):
+            with ServeClient(base_url) as client:
+                for i in range(SOAK_ITERS // CLIENTS):
+                    request = MATRIX[(offset + i) % len(MATRIX)]
+                    cell = (request.workload, request.bar)
+                    with lock:
+                        seen = frozenset(finished)
+                    started = time.perf_counter()
+                    try:
+                        status = client.run(request)
+                        latency = time.perf_counter() - started
+                        if status["state"] != DONE:
+                            raise RuntimeError(status.get("error"))
+                        body = client.result_bytes(status["job"])
+                    except Exception as exc:
+                        with lock:
+                            problems.append(f"{cell}: {exc!r}")
+                        continue
+                    pair = (status["worker_pid"], cell)
+                    with lock:
+                        finished.add(pair)
+                        if pair in seen:
+                            warm.append((status["source"], latency))
+                        if body != cold_bytes[cell]:
+                            problems.append(f"{cell}: result diverged")
+
+        threads = [
+            threading.Thread(target=client_loop, args=(offset,))
+            for offset in range(CLIENTS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        with ServeClient(base_url) as client:
+            stats = client.stats()
+    finally:
+        embedded.stop()
+
+    assert problems == []
+    assert stats["queue"]["rejected"] == 0
+    assert stats["jobs"]["states"].get("failed", 0) == 0
+    # First touches are bounded: each (worker, cell) pair the cold pass
+    # missed has at most one request in flight per client.
+    sent = (SOAK_ITERS // CLIENTS) * CLIENTS
+    assert len(warm) >= sent - len(MATRIX) * CLIENTS
+    assert {source for source, _ in warm} == {"memo"}
+    warm_p50 = statistics.median(latency for _, latency in warm)
+    assert warm_p50 < min(cold_walls), (
+        f"warm p50 {warm_p50 * 1e3:.1f} ms not below the fastest cold "
+        f"request {min(cold_walls) * 1e3:.1f} ms"
+    )
 
 
 #: Back-to-back engine sims for the vector-backend soak; the nightly
