@@ -26,9 +26,12 @@ signal always ends the turn, exactly like its tuple twin, so an
 ``_epoch`` kernel ends at its first signal: nothing is emitted past
 that return.  A straight-line pure run is the degenerate path — one
 span, no guards and no sites.  The lowering pass also plants *suffix
-kernels* — the same shape, covering a path tail — at mid-path resume
-indices.  A suffix kernel could never run in the sequential loop
-(see :func:`replay_seq`), so suffix regions get no ``_seq`` body.
+kernels* — the same shape, covering one segment of the path from a
+mid-path resume index to just before the next site — and a suffix
+kernel cut at a site leaves through the ordinary case-A exit at that
+site's index, where the dispatcher runs the next segment.  A suffix
+kernel could never run in the sequential loop (see
+:func:`replay_seq`), so suffix regions get no ``_seq`` body.
 
 Exactness contract
 ------------------
@@ -82,8 +85,11 @@ from repro.ir.evalops import BINOP_FUNCS, UNOP_FUNCS
 #: sources can never be loaded into a newer engine.
 #: (2: wait/signal/check fusion + suffix kernels at resume points.
 #:  3: epoch kernels end at their first signal; suffix regions have no
-#:     ``_seq`` body.)
-CODEGEN_SCHEMA_VERSION = 3
+#:     ``_seq`` body.
+#:  4: suffix kernels cover one segment; three or more register
+#:     write-backs go out as one ``regs.update``; no null check on a
+#:     nonzero constant address.)
+CODEGEN_SCHEMA_VERSION = 4
 
 
 class CodegenError(Exception):
@@ -436,9 +442,21 @@ class _PathEmitter:
         self.dirty[reg] = None
 
     def flush_regs(self) -> None:
-        """Write every dirty register back to the frame dict."""
-        for reg in self.dirty:
-            self.emit(f"regs[{reg!r}] = {self.state.render(self.state.env[reg])}")
+        """Write every dirty register back to the frame dict.
+
+        Three or more go out as one ``regs.update({...})``, which
+        inserts in the same order as the single assignments.
+        """
+        render = self.state.render
+        env = self.state.env
+        if len(self.dirty) >= 3:
+            items = ", ".join(
+                f"{reg!r}: {render(env[reg])}" for reg in self.dirty
+            )
+            self.emit(f"regs.update({{{items}}})")
+        else:
+            for reg in self.dirty:
+                self.emit(f"regs[{reg!r}] = {render(env[reg])}")
         self.dirty.clear()
 
     def close_pend(self) -> None:
@@ -514,24 +532,26 @@ class _PathEmitter:
         self.pend.append(op[1])
         self.executed += 1
 
-    def _addr_expr(self, base_operand, offset: int) -> str:
+    def _addr_expr(self, base_operand, offset: int) -> Tuple[str, bool]:
+        """The address expression, and whether it can be null (only a
+        nonzero constant cannot)."""
         node = self.state.read(base_operand)
         if node[0] == "const":
-            return atom(node[1] + offset)
+            return atom(node[1] + offset), node[1] + offset == 0
         local = f"_a{self.addr_count}"
         self.addr_count += 1
         if offset:
             self.emit(f"{local} = {node[1]} + {offset}")
         else:
             self.emit(f"{local} = {node[1]}")
-        return local
+        return local, True
 
     def load_op(self, op: tuple, label_expr: str, index: int) -> None:
         self.sync_point()
         self.require("load")
         p = self.executed
         p1 = p + 1
-        addr = self._addr_expr(op[4], op[5])
+        addr, nullable = self._addr_expr(op[4], op[5])
         mem = self.mem_index
         self.mem_index += 1
         dest_local = f"_m{self.load_count}"
@@ -546,9 +566,10 @@ class _PathEmitter:
             e(f"ex.total_steps = tsteps + {p1}")
             e(f"frame.index = {index}")
             e("ex._now = clock")
-            e(f"if not {addr}:")
-            e("    ex._null_fault(run, frame, 'dereference')")
-            e(f"    {self.ret(label_expr, index, 'clock', p1, 'True')}")
+            if nullable:
+                e(f"if not {addr}:")
+                e("    ex._null_fault(run, frame, 'dereference')")
+                e(f"    {self.ret(label_expr, index, 'clock', p1, 'True')}")
             e(f"if {addr} in _wb:")
             e("    if _obs is not None:")
             e("        _obs.now = clock")
@@ -582,7 +603,7 @@ class _PathEmitter:
         self.require("store")
         p = self.executed
         p1 = p + 1
-        addr = self._addr_expr(op[3], op[4])
+        addr, nullable = self._addr_expr(op[3], op[4])
         value = self.state.render(self.state.read(op[5]))
         mem = self.mem_index
         self.mem_index += 1
@@ -596,9 +617,10 @@ class _PathEmitter:
             e(f"ex.total_steps = tsteps + {p1}")
             e(f"frame.index = {index}")
             e("ex._now = clock")
-            e(f"if not {addr}:")
-            e("    ex._null_fault(run, frame, 'store')")
-            e(f"    {self.ret(label_expr, index, 'clock', p1, 'True')}")
+            if nullable:
+                e(f"if not {addr}:")
+                e("    ex._null_fault(run, frame, 'store')")
+                e(f"    {self.ret(label_expr, index, 'clock', p1, 'True')}")
             e("_q = ex.stats.epochs_squashed")
             e(f"ex._exec_store(run, frame, instrs[{mem}], {addr}, {value})")
             e("if ex.stats.epochs_squashed != _q:")
@@ -702,7 +724,7 @@ class _PathEmitter:
         self.sync_point()
         p1 = self.executed + 1
         f_expr = self.state.render(self.state.read(op[3]))
-        m_addr = self._addr_expr(op[4], op[5])
+        m_addr, _ = self._addr_expr(op[4], op[5])
         e = self.emit
         self._site_preamble(label_expr, index, p1)
         e(f"run.fwd_flag = {f_expr} != 0 and {f_expr} == {m_addr}")
@@ -830,13 +852,10 @@ class _PathEmitter:
             e(f"frame.block = {next_label!r}")
 
     def case_a_exit(self, label_expr: str, index: int) -> None:
-        """Path ends before a breaker: hand back at (label, index)."""
+        """Path ends mid-block — ahead of a breaker, or a suffix segment
+        ahead of its next site: hand back at (label, index)."""
         self.sync_point()
-        if self.mode == "epoch":
-            self.emit(self.ret(label_expr, index, "clock",
-                               self.executed))
-        else:
-            self.emit(self.ret(label_expr, index, "clock", self.executed))
+        self.emit(self.ret(label_expr, index, "clock", self.executed))
 
     # -- assembly ------------------------------------------------------
 
@@ -944,7 +963,8 @@ def generate_extended(
             total += end - start
         final_label, final_ops, _, final_end = spans[-1]
         if final_ops[final_end - 1][0] not in (OP_JUMP, OP_CONDBR):
-            # Case A: the path stops ahead of a breaker mid-block.
+            # Case A: the path stops mid-block, ahead of a breaker or
+            # (a suffix segment) ahead of its next site.
             emitter.case_a_exit(
                 "None" if len(spans) == 1 else repr(final_label),
                 final_end,

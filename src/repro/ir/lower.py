@@ -27,9 +27,13 @@ discipline of the tuple path; ``wait``/``signal`` delegate to the
 channel machinery the same way and ``check`` runs fully inline.
 Because the epoch engine can end a turn at (or just past) any such
 site, lowering additionally plants **suffix kernels** — ordinary
-superops covering the path tail — at every mid-path resume index, so
-the next turn re-enters fused execution instead of replaying the
-remainder per-op (see :func:`_suffix_spans`).  Home regions get an
+superops covering one *segment* of the path, from the resume index to
+just before the next site — at every mid-path resume index, so the
+next turn re-enters fused execution instead of replaying the remainder
+per-op.  A segment leaves through its case-A exit at the next site,
+where the dispatcher finds that site's own segment, so suffix kernels
+chain through the turn loop and each op lands in a couple of suffix
+kernels at most (see :func:`_suffix_spans`).  Home regions get an
 ``_epoch``/``_seq`` kernel pair; suffix regions get an ``_epoch``
 kernel only.  Their superop's sequential slot is the shared
 :func:`repro.ir.codegen.replay_seq`, which sends the engine straight
@@ -90,8 +94,10 @@ from repro.ir.decode import (
 #:  4: one region family — straight pure runs lower to one-span
 #:     extended kernels; tables holding classic entries relower.
 #:  5: epoch kernels end at their first signal; suffix regions carry
-#:     no ``_seq`` body (``ExtRegion.has_seq``).)
-LOWER_SCHEMA_VERSION = 5
+#:     no ``_seq`` body (``ExtRegion.has_seq``).
+#:  6: a suffix region is one segment, ending before its next site;
+#:     long-tail tables still validate, so the bump forces a relower.)
+LOWER_SCHEMA_VERSION = 6
 
 #: Shortest run worth fusing: a superop costs one dispatch plus one
 #: kernel call, which beats per-op dispatch from two ops up (measured;
@@ -286,10 +292,28 @@ def _ext_spans(decoded_func, label: str, start: int, end: int,
     return spans
 
 
+def _segment(blocks, tail: Sequence[Tuple[str, int, int]]
+             ) -> List[Tuple[str, int, int]]:
+    """Cut a path tail just before its next site once it holds
+    :data:`MIN_REGION_LEN` ops; an uncut tail is returned whole."""
+    segment: List[Tuple[str, int, int]] = []
+    held = 0
+    for label, start, end in tail:
+        ops = blocks[label].ops
+        for k in range(start, end):
+            if held >= MIN_REGION_LEN and ops[k][0] in codegen.SITE_OPCODES:
+                if k > start:
+                    segment.append((label, start, k))
+                return segment
+            held += 1
+        segment.append((label, start, end))
+    return segment
+
+
 def _suffix_spans(
     decoded_func, home_spans: Sequence[List[Tuple[str, int, int]]]
 ) -> List[List[Tuple[str, int, int]]]:
-    """Suffix paths for every mid-path resume point of the home paths.
+    """Suffix segments for every mid-path resume point of the home paths.
 
     The epoch engine can end a turn at a synchronized site (horizon
     yield, load park, wait stall — the op re-executes at its own index
@@ -297,21 +321,29 @@ def _suffix_spans(
     squash; signal: the unconditional consumer-event return).  Without
     a superop at those indices the rest of the path replays per-op
     every time, which the coverage probes show is the dominant unfused
-    mass.  For each such index this derives the path *tail* — the rest
-    of the span plus every chained span — and the caller plants an
-    ordinary extended superop there; the original tuples stay at
-    interior indices, so per-op replay semantics are unchanged.
+    mass.  For each such index this derives one *segment* of the path
+    tail: it starts at the resume index and ends just before the next
+    site once it holds :data:`MIN_REGION_LEN` ops (or at the path's
+    end).  The caller plants an ordinary extended superop there.  A
+    segment cut at a site leaves through the case-A exit at that
+    site's index, where the dispatcher finds the next segment (every
+    site on a home path is itself a resume index), so segments chain
+    through the existing turn loop and each op is emitted into a couple
+    of kernels rather than once per upstream resume point.  The
+    original tuples stay at interior indices, so per-op replay
+    semantics are unchanged.
 
     One suffix per (label, index): overlapping home paths keep the
-    longest tail.  Indices already owning a home region head are
+    longest segment.  Indices already owning a home region head are
     skipped.
     """
+    blocks = decoded_func.blocks
     planted = {(spans[0][0], spans[0][1]) for spans in home_spans}
     chosen: Dict[Tuple[str, int], List[Tuple[str, int, int]]] = {}
     totals: Dict[Tuple[str, int], int] = {}
     for spans in home_spans:
         for s, (slabel, sstart, send) in enumerate(spans):
-            ops = decoded_func.blocks[slabel].ops
+            ops = blocks[slabel].ops
             for k in range(sstart, send):
                 code = ops[k][0]
                 if code not in codegen.SITE_OPCODES:
@@ -327,7 +359,9 @@ def _suffix_spans(
                     key = (slabel, rk)
                     if key in planted:
                         continue
-                    tail = [(slabel, rk, send)] + list(spans[s + 1:])
+                    tail = _segment(
+                        blocks, [(slabel, rk, send)] + list(spans[s + 1:])
+                    )
                     total = sum(e - b for _, b, e in tail)
                     if total < MIN_REGION_LEN:
                         continue

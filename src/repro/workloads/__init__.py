@@ -1,26 +1,11 @@
 """Synthetic SPEC-like workloads (see DESIGN.md for the substitution).
 
-Importing this package registers all sixteen workloads in Table 2
-order; use :func:`repro.workloads.all_workloads` to enumerate them.
+Each workload lives in its own module, which registers it on import.
+:func:`repro.workloads.all_workloads` imports and returns the whole
+suite in paper Table 2 order; :func:`repro.workloads.get_workload`
+imports only the named workload's module.
 """
 
-from repro.workloads import (  # noqa: F401  (registration side effects)
-    go,
-    m88ksim,
-    ijpeg,
-    gzip_comp,
-    gzip_decomp,
-    vpr_place,
-    gcc,
-    mcf,
-    crafty,
-    parser,
-    perlbmk,
-    gap,
-    bzip2_comp,
-    bzip2_decomp,
-    twolf,
-)
 from repro.workloads.base import Workload, all_workloads, get_workload
 
 __all__ = ["Workload", "all_workloads", "get_workload"]

@@ -555,17 +555,18 @@ class TestParallelEngineFuzz:
 SHAPE_PROGRAMS = ("baseline", "sync_ref", "sync_train")
 
 #: Ceilings on the distinct kernel source over the 15 workloads x
-#: SHAPE_PROGRAMS, with headroom over today's 4.62 MB and 97 bytes per
+#: SHAPE_PROGRAMS, with headroom over today's 2.21 MB and 108 bytes per
 #: fused instruction.
-MAX_SOURCE_BYTES = 5_000_000
+MAX_SOURCE_BYTES = 2_600_000
 MAX_BYTES_PER_FUSED_INSTR = 110
 
 
 @pytest.fixture(scope="module")
 def suite_regions():
-    """``(where, region, tree, superop, is_home)`` for every fused
-    region of every workload program, as a vector engine lowers it
-    (``tree`` is the parsed source)."""
+    """``(where, region, tree, superop, is_home, blocks)`` for every
+    fused region of every workload program, as a vector engine lowers
+    it (``tree`` is the parsed source, ``blocks`` the function's
+    decoded blocks)."""
     from repro.experiments.runner import bundle_for
     from repro.workloads import all_workloads
 
@@ -586,8 +587,22 @@ def suite_regions():
                     ast.parse(region.source),
                     program.block(fname, label).ops[region.start],
                     region.start in run_starts,
+                    program.decoded.function(fname).blocks,
                 ))
     return rows
+
+
+def _null_checks_on_literals(tree):
+    """Every ``if not <literal>:`` test in a kernel."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.If)
+                and isinstance(node.test, ast.UnaryOp)
+                and isinstance(node.test.op, ast.Not)):
+            try:
+                ast.literal_eval(node.test.operand)
+            except ValueError:
+                continue
+            yield node
 
 
 def _statements_after_return(tree):
@@ -607,7 +622,7 @@ class TestSourceShape:
         self, suite_regions
     ):
         dead = []
-        for where, _, tree, _, _ in suite_regions:
+        for where, _, tree, _, _, _ in suite_regions:
             for stmt in _statements_after_return(tree):
                 dead.append(f"{where} line {stmt.lineno}")
         assert not dead, dead[:5]
@@ -616,7 +631,7 @@ class TestSourceShape:
         # A signal always ends the turn: its delegation is the kernel's
         # second-last top-level statement and the return the last.
         ended = 0
-        for where, region, tree, _, _ in suite_regions:
+        for where, region, tree, _, _, _ in suite_regions:
             epoch = next(
                 node for node in tree.body
                 if node.name == f"{region.name}_epoch"
@@ -636,7 +651,7 @@ class TestSourceShape:
 
     def test_suffix_regions_define_no_seq_kernel(self, suite_regions):
         suffixes = 0
-        for where, region, tree, superop, is_home in suite_regions:
+        for where, region, tree, superop, is_home, _ in suite_regions:
             defined = {
                 node.name for node in tree.body
                 if isinstance(node, ast.FunctionDef)
@@ -654,9 +669,77 @@ class TestSourceShape:
 
     def test_distinct_source_within_budget(self, suite_regions):
         lengths = {}
-        for _, region, _, _, _ in suite_regions:
+        for _, region, _, _, _, _ in suite_regions:
             lengths[region.source] = region.length
         total = sum(len(source.encode()) for source in lengths)
         fused = sum(lengths.values())
         assert total <= MAX_SOURCE_BYTES, total
         assert total / fused <= MAX_BYTES_PER_FUSED_INSTR, total / fused
+
+    def test_suffix_regions_stop_at_their_next_site(self, suite_regions):
+        # A suffix region is one segment: it ends ahead of the first
+        # site past its first MIN_REGION_LEN ops.
+        long_tails = []
+        cut = 0
+        for where, region, _, _, is_home, blocks in suite_regions:
+            if is_home:
+                continue
+            position = 0
+            for label, start, end in region.spans:
+                ops = blocks[label].ops
+                for k in range(start, end):
+                    if (position >= lower.MIN_REGION_LEN
+                            and ops[k][0] in codegen.SITE_OPCODES):
+                        long_tails.append(f"{where} {label}@{k}")
+                    position += 1
+            label, _, end = region.spans[-1]
+            if end < len(blocks[label].ops) and (
+                blocks[label].ops[end][0] in codegen.SITE_OPCODES
+            ):
+                cut += 1
+        assert not long_tails, long_tails[:5]
+        assert cut > 0
+
+    def test_no_null_check_on_a_constant_address(self, suite_regions):
+        checks = []
+        for where, _, tree, _, _, _ in suite_regions:
+            for node in _null_checks_on_literals(tree):
+                checks.append(f"{where} line {node.lineno}")
+        assert not checks, checks[:5]
+
+
+class TestNullChecks:
+    """A memory op faults on a null address.  A nonzero constant
+    address cannot be null, so its kernel carries no check; a constant
+    zero keeps it and faults like the tuple path."""
+
+    @staticmethod
+    def _module(offset):
+        mb = ModuleBuilder("t")
+        mb.global_var("buf", 8)
+        fb = mb.function("main")
+        fb.block("entry")
+        fb.const(5, dest="x")
+        fb.store("@buf", "x", offset=offset)
+        fb.load("@buf", offset=offset, dest="y")
+        fb.add("y", 1, dest="z")
+        fb.ret("z")
+        return mb.build()
+
+    def _epoch_tree(self, offset):
+        program = lower.LoweredProgram(
+            _decoded(self._module(offset)), issue_width=4
+        )
+        home = lower.block_regions(program.block("main", "entry"))[0]
+        assert home.start == 0 and home.length == 4
+        return ast.parse(home.source)
+
+    def test_nonzero_constant_address_has_no_check(self):
+        tree = self._epoch_tree(3)
+        assert not list(_null_checks_on_literals(tree))
+        assert "_null_fault" not in ast.unparse(tree)
+
+    def test_zero_constant_address_keeps_both_checks(self):
+        tree = self._epoch_tree(0)
+        assert len(list(_null_checks_on_literals(tree))) == 2
+        assert ast.unparse(tree).count("_null_fault") == 2

@@ -186,6 +186,46 @@ def _mem_loop_module(n=40):
     return mb.build()
 
 
+def _segment_loop_module(n=5):
+    """A parallel loop whose sites sit far enough apart that its suffix
+    regions are cut into chained segments.
+
+    ``loop`` indices: 0 wait, 1 add, 2 signal, 3 load, 4-5 pure, 6 load,
+    7 pure, 8 store, 9 move, 10 lt, 11 condbr.  The home path chains
+    into ``done``, whose fusible prefix is a load.
+    """
+    mb = ModuleBuilder("t")
+    mb.global_var("buf", 8)
+    fb = mb.function("main")
+    fb.block("entry")
+    fb.const(0, dest="i")
+    fb.const(3, dest="v0")
+    fb.store("@buf", "v0", offset=1)
+    fb.jump("loop")
+    fb.block("loop")
+    fb.wait("scalar:i", dest="i")
+    fb.add("i", 1, dest="i.fwd")
+    fb.signal("scalar:i", "i.fwd")
+    fb.load("@buf", offset=1, dest="v")
+    fb.add("v", "i", dest="w")
+    fb.mul("w", 3, dest="x")
+    fb.load("@buf", offset=2, dest="y")
+    fb.add("x", "y", dest="z")
+    fb.store("@buf", "z", offset=1)
+    fb.move("i.fwd", dest="i")
+    fb.condbr(fb.binop("lt", "i", n), "loop", "done")
+    fb.block("done")
+    fb.ret(fb.load("@buf", offset=1))
+    module = mb.build()
+    module.parallel_loops.append(ParallelLoop(
+        function="main", header="loop", scalar_channels=["scalar:i"]
+    ))
+    module.add_channel(
+        ChannelInfo(name="scalar:i", kind="scalar", scalar="i")
+    )
+    return module
+
+
 def _divmod_module(divisor):
     mb = ModuleBuilder("t")
     fb = mb.function("work", params=("x",))
@@ -504,6 +544,125 @@ class TestSuffixKernels:
         assert len(calls) == 1
         assert engine.fused_instructions > 0
 
+    # -- segment boundaries -------------------------------------------
+
+    @staticmethod
+    def _segment_engine(module, config, obs=None):
+        """A vector engine on ``module`` (a :func:`_segment_loop_module`)
+        whose suffix kernels in ``loop`` report every return as
+        ``(start, tsteps, result)`` in the returned list."""
+        calls = []
+        engine = TLSEngine(module, config=config, parallel=True, obs=obs)
+        ops = engine._program.block("main", "loop").ops
+        for region in lower.block_regions(
+            engine._program.block("main", "loop")
+        ):
+            if region.has_seq:
+                continue
+            superop = ops[region.start]
+
+            def traced(*args, _fn=superop[3], _start=region.start):
+                res = _fn(*args)
+                calls.append((_start, args[5], res))
+                return res
+
+            ops[region.start] = superop[:3] + (traced,) + superop[4:]
+        return engine, calls
+
+    def test_suffix_segments_chain_at_their_next_site(self):
+        # Each suffix region stops ahead of the next site once it holds
+        # MIN_REGION_LEN ops and hands back at that site's index, where
+        # the next segment is planted.
+        from repro.ir.decode import OP_LOAD
+
+        decoded = _decoded(_segment_loop_module())
+        program = lower.LoweredProgram(decoded, issue_width=4)
+        regions = {
+            r.start: r
+            for r in lower.block_regions(program.block("main", "loop"))
+        }
+        assert {
+            start: r.spans for start, r in regions.items() if not r.has_seq
+        } == {
+            2: [("loop", 2, 6)],
+            3: [("loop", 3, 6)],
+            6: [("loop", 6, 8)],
+            8: [("loop", 8, 12)],
+            9: [("loop", 9, 12)],
+        }
+        # The home path chains into ``done``; the segments from the
+        # store stop at the loop's back edge, ahead of done's load.
+        assert regions[0].spans == [("loop", 0, 12), ("done", 0, 1)]
+        assert decoded.block("main", "done").ops[0][0] == OP_LOAD
+        for start, end in ((3, 6), (6, 8)):
+            assert regions[start].source.rstrip().endswith(
+                f"return (None, {end}, clock, busy, {end - start}, False)"
+            ), regions[start].source
+
+    def test_step_limit_on_a_segment_boundary_matches_oracle(self):
+        # Sweep the region step limit over the whole run.  Where a
+        # segment hands back exactly at the limit, the next segment's
+        # step guard fails at its head and the engine replays that site
+        # per-op; every limit must match the tuples and slow paths.
+        landed = set()
+        for limit in range(2, 90):
+            outcomes = []
+            for mode in ({"backend": "vector"}, {"backend": "tuples"},
+                         {"fast_path": False}):
+                config = SimConfig(max_region_steps=limit, **mode)
+                if mode.get("backend") == "vector":
+                    engine, calls = self._segment_engine(
+                        _segment_loop_module(), config
+                    )
+                else:
+                    engine = TLSEngine(
+                        _segment_loop_module(), config=config, parallel=True
+                    )
+                try:
+                    outcome = engine.run().to_state()
+                except EngineError as exc:
+                    outcome = str(exc)
+                outcomes.append((outcome, engine.clock))
+            assert outcomes[0] == outcomes[1] == outcomes[2], limit
+            for start, tsteps, res in calls:
+                if res is not None and not res[5] and res[1] in (6, 8) \
+                        and tsteps + res[4] == limit:
+                    landed.add(res[1])
+        assert landed == {6, 8}
+
+    def test_guard_bail_at_a_segment_end_matches_oracle(self):
+        # The segment from the store stops at the loop's back edge (the
+        # home path's chain into ``done`` is cut off), so its branch
+        # guard bails there: the target is the epoch header.  The bail
+        # hands back at the condbr index with the store, move and lt
+        # executed, and the tuple path runs the branch.
+        from repro.obs.bus import CollectorSink, EventBus
+
+        # One module for both runs: event keys carry instruction ids.
+        module = _segment_loop_module()
+        streams = []
+        for mode in ({"backend": "vector"}, {"fast_path": False}):
+            bus = EventBus()
+            collector = bus.attach(CollectorSink())
+            config = SimConfig(**mode)
+            if "backend" in mode:
+                engine, calls = self._segment_engine(module, config, obs=bus)
+            else:
+                engine = TLSEngine(
+                    module, config=config, parallel=True, obs=bus
+                )
+            result = engine.run()
+            streams.append((result.to_state(),
+                            [e.key() for e in collector.events]))
+        assert streams[0] == streams[1]
+        bails = [
+            res for start, _, res in calls
+            if start == 8 and res is not None and res[1] == 11
+        ]
+        assert bails
+        assert all(res[0] is None and res[4] == 3 and not res[5]
+                   for res in bails)
+
 class TestKernelArtifacts:
     def test_kernel_store_round_trip_without_relower(
         self, tmp_path, monkeypatch
@@ -586,7 +745,8 @@ class TestKernelArtifacts:
     def test_schema_4_table_is_relowered_and_overwritten(self, tmp_path):
         # Schema 4 tables carry suffix _seq bodies and epoch code past a
         # signal, and their regions have no "seq" flag: a store holding
-        # one is relowered and the entry overwritten under schema 5.
+        # one is relowered and the entry overwritten under the current
+        # schema.
         from repro.experiments import artifacts as artifacts_mod
 
         module = _mem_loop_module()
@@ -615,8 +775,8 @@ class TestKernelArtifacts:
         assert engine.fused_instructions > 0
         assert got.to_state() == ref.to_state()
         stored = store.load_kernels(module, cost_sig)
-        assert lower.LOWER_SCHEMA_VERSION == 5
-        assert stored["version"] == 5
+        assert lower.LOWER_SCHEMA_VERSION == 6
+        assert stored["version"] == 6
         assert stored == engine._program.to_state()
         assert any(
             region["seq"] is False
@@ -624,3 +784,63 @@ class TestKernelArtifacts:
             for regions in labels.values()
             for region in regions
         )
+
+    def test_schema_5_table_is_relowered_and_overwritten(
+        self, tmp_path, monkeypatch
+    ):
+        # Schema 5 suffix regions run to the end of the path.  Such a
+        # table still validates against the decoded program, so only
+        # the version keeps a warm store from loading it: it is
+        # relowered and overwritten with one-segment suffix regions.
+        from repro.experiments import artifacts as artifacts_mod
+
+        module = _segment_loop_module()
+        decoded = _decoded(module)
+        config = SimConfig(backend="vector")
+        cost_sig = lower.cost_signature(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(lower, "_segment", lambda blocks, tail: list(tail))
+            old = lower.LoweredProgram(
+                decoded, issue_width=int(config.issue_width)
+            ).lower_all().to_state()
+        assert _suffix_sites_past_min(decoded, old)
+        current = dict(old, version=lower.LOWER_SCHEMA_VERSION)
+        lower.LoweredProgram.from_state(decoded, current).lower_all()
+        old["version"] = 5
+        store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
+        store.save_kernels(module, cost_sig, old)
+        lower.set_persistence(store.load_kernels, store.save_kernels)
+        try:
+            engine = TLSEngine(module, config=config, parallel=True)
+            got = engine.run()
+        finally:
+            lower.set_persistence(None, None)
+        ref = TLSEngine(
+            module, config=SimConfig(fast_path=False), parallel=True
+        ).run()
+        assert engine.fused_instructions > 0
+        assert got.to_state() == ref.to_state()
+        stored = store.load_kernels(module, cost_sig)
+        assert stored["version"] == lower.LOWER_SCHEMA_VERSION == 6
+        assert stored == engine._program.to_state()
+        assert not _suffix_sites_past_min(decoded, stored)
+
+
+def _suffix_sites_past_min(decoded, state):
+    """Sites a stored table's suffix regions hold at path position
+    MIN_REGION_LEN or later."""
+    found = []
+    for fname, labels in state["functions"].items():
+        for regions in labels.values():
+            for region in regions:
+                if region["seq"]:
+                    continue
+                position = 0
+                for label, start, end in region["spans"]:
+                    ops = decoded.block(fname, label).ops
+                    for k in range(start, end):
+                        if (position >= lower.MIN_REGION_LEN
+                                and ops[k][0] in codegen.SITE_OPCODES):
+                            found.append((region["name"], label, k))
+                        position += 1
+    return found

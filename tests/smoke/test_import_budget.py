@@ -84,6 +84,12 @@ def test_simulate_loads_only_the_compute_stack(tmp_path):
     modules = _loaded(tmp_path, "simulate", "go", "--bar", "C", "--no-cache")
     assert "repro.tlssim.engine" in modules  # it did simulate
     assert _violations(modules, SIMULATE) == []
+    # Checking the name needs no builder; simulating needs only its own.
+    builders = [
+        name for name in modules
+        if name.startswith("repro.workloads.") and name != "repro.workloads.base"
+    ]
+    assert builders == ["repro.workloads.go"]
 
 
 def test_warm_report_loads_no_compiler_or_engine(tmp_path):
