@@ -4,7 +4,7 @@ PY ?= python
 #: worker processes for the report simulation matrix (0 = all cores)
 JOBS ?= 0
 
-.PHONY: install test lint ci microbench serve report scorecard sweep examples clean
+.PHONY: install test lint ci serve report scorecard sweep examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -13,14 +13,10 @@ install:
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
 
-# Explicit path list so the benchmark suite is always in lint scope.
 lint:
-	ruff check src tests benchmarks examples setup.py
+	ruff check src tests examples setup.py
 
 ci: lint test
-
-microbench:
-	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only
 
 # Simulation-as-a-service daemon (docs/serving.md).
 PORT ?= 8765
@@ -51,5 +47,5 @@ examples:
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true
-	rm -rf src/repro.egg-info .pytest_cache .benchmarks .ruff_cache
+	rm -rf src/repro.egg-info .pytest_cache .ruff_cache
 	rm -rf .repro_cache run_metrics.json measured_results.md

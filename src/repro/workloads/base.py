@@ -58,6 +58,13 @@ WORKLOAD_NAMES = (
 
 
 def register(workload: Workload) -> Workload:
+    """Add ``workload`` to the registry.
+
+    A suite name belongs to its own module: that module is imported
+    first, so any other registration of the name is a duplicate.
+    """
+    if workload.name in WORKLOAD_NAMES and workload.name not in _REGISTRY:
+        importlib.import_module(f"repro.workloads.{workload.name}")
     if workload.name in _REGISTRY:
         raise ValueError(f"duplicate workload {workload.name!r}")
     if not 0.0 < workload.coverage <= 1.0:

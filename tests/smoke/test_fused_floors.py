@@ -2,7 +2,7 @@
 
 On the three largest workloads, the share of dynamic instructions a
 ``vector`` engine executes inside fused kernels must stay at or
-above its floor in ``benchmarks/fused_floors.json``.  Each cell also
+above its floor in ``fused_floors.json`` beside this module.  Each cell also
 checks the vector result against the tuples path.
 """
 
@@ -14,7 +14,7 @@ import pytest
 from repro.experiments.runner import BAR_PROGRAM, bundle_for, config_for
 from repro.tlssim.engine import TLSEngine
 
-FLOORS_PATH = Path(__file__).resolve().parents[2] / "benchmarks" / "fused_floors.json"
+FLOORS_PATH = Path(__file__).resolve().parent / "fused_floors.json"
 FLOORS = json.loads(FLOORS_PATH.read_text())["floors"]
 
 #: The uncompiled program exercises violations and squashes, the

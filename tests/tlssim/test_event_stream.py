@@ -12,6 +12,10 @@ currently holds and is asserted too so any future reordering is loud.
 Same matrix rationale as ``test_fastpath.py``: each scheme family
 exercises a different engine subsystem and therefore different
 emission sites.
+
+Both sweeps also pin the slow-path result of every cell to its digest
+in ``tests/golden/results.json`` (the ``result_digests`` fixture), so
+a change that moves the fast and slow paths together still shows.
 """
 
 import pytest
@@ -33,6 +37,10 @@ MACHINE_POINTS = (
 MACHINE_WORKLOADS = ("go", "m88ksim", "gzip_decomp")
 
 
+def _machine_id(machine):
+    return "-".join(f"{k}{v}" for k, v in sorted(machine.items()))
+
+
 def _stream(program, config, oracle, parallel):
     bus = EventBus()
     collector = bus.attach(CollectorSink())
@@ -44,7 +52,7 @@ def _stream(program, config, oracle, parallel):
 
 @pytest.mark.parametrize("backend", ("tuples", "vector"))
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_event_streams_identical_on_every_bar(name, backend):
+def test_event_streams_identical_on_every_bar(name, backend, result_digests):
     bundle = bundle_for(name)
     for bar in BARS:
         program = bundle.program(bar)
@@ -73,14 +81,15 @@ def test_event_streams_identical_on_every_bar(name, backend):
         assert fast_result.to_state() == slow_result.to_state(), (
             f"{name}/{bar}: results diverged with the bus attached ({backend})"
         )
+        result_digests(f"{name}/{bar}", slow_result)
 
 
 @pytest.mark.parametrize("backend", ("tuples", "vector"))
-@pytest.mark.parametrize("machine", MACHINE_POINTS, ids=lambda m: "-".join(
-    f"{k}{v}" for k, v in sorted(m.items())
-))
+@pytest.mark.parametrize("machine", MACHINE_POINTS, ids=_machine_id)
 @pytest.mark.parametrize("name", MACHINE_WORKLOADS)
-def test_event_streams_identical_off_default_machine(name, machine, backend):
+def test_event_streams_identical_off_default_machine(
+    name, machine, backend, result_digests
+):
     """Byte-identity holds away from the paper's 4-core default too.
 
     The machine-model axes (core count, SAB capacity) change the
@@ -106,6 +115,7 @@ def test_event_streams_identical_off_default_machine(name, machine, backend):
         assert fast_result.to_state() == slow_result.to_state(), (
             f"{name}/{bar}: results diverged at {machine} ({backend})"
         )
+        result_digests(f"{name}/{bar}/{_machine_id(machine)}", slow_result)
 
 
 def test_bus_does_not_change_results():

@@ -1,5 +1,10 @@
 """Workload infrastructure: input generation and builder scaffolding."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.ir.interpreter import run_module
@@ -121,3 +126,25 @@ class TestScaffolding:
                     description="d",
                 )
             )
+
+    def test_suite_name_reserved_before_its_module_loads(self):
+        """In a fresh process no builder module is loaded yet; a suite
+        name registered from elsewhere must still be a duplicate, and
+        the real workload must stay the registered one."""
+        code = (
+            "from repro.workloads.base import Workload, get_workload, register\n"
+            "try:\n"
+            "    register(Workload(name='go', spec_name='x', build=None,\n"
+            "        train_input=1, ref_input=2, coverage=0.5,\n"
+            "        seq_overhead=0.9, description='d'))\n"
+            "except ValueError as exc:\n"
+            "    assert 'duplicate' in str(exc), exc\n"
+            "else:\n"
+            "    raise SystemExit('impostor registered as go')\n"
+            "assert get_workload('go').spec_name == '099.go'\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+        )
