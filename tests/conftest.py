@@ -5,21 +5,26 @@ those tests run repeated warm submits through a live serve daemon and
 take minutes, so the tier-1 suite skips them unless ``--run-stability``
 is passed (the nightly workflow does).
 
-Two goldens pin the reproduction's numbers: EXPERIMENTS.md's "Measured
-results" section (``tests/integration/test_golden_report.py``) and the
-result digests in ``tests/golden/results.json``
-(``tests/tlssim/test_event_stream.py``).  ``--update-golden`` makes
-those tests rewrite the goldens instead of asserting them; a change
-that does so says why in CHANGES.md.
+Three goldens pin the reproduction's outputs: EXPERIMENTS.md's
+"Measured results" section (``tests/integration/test_golden_report.py``),
+the result digests in ``tests/golden/results.json``
+(``tests/tlssim/test_event_stream.py``) and the ``repro trace`` output
+digests in ``tests/golden/traces.json``
+(``tests/experiments/test_trace.py``).  ``--update-golden`` makes those
+tests rewrite the goldens instead of asserting them; a change that
+does so says why in CHANGES.md.
 """
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-RESULT_DIGESTS = Path(__file__).resolve().parent / "golden" / "results.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RESULT_DIGESTS = GOLDEN / "results.json"
+TRACE_DIGESTS = GOLDEN / "traces.json"
 
 
 def pytest_addoption(parser):
@@ -33,8 +38,8 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="rewrite EXPERIMENTS.md's measured results and "
-        "tests/golden/results.json instead of asserting them",
+        help="rewrite EXPERIMENTS.md's measured results and the "
+        "tests/golden/ digests instead of asserting them",
     )
 
 
@@ -52,40 +57,59 @@ def update_golden(request):
     return request.config.getoption("--update-golden")
 
 
-@pytest.fixture(scope="session")
-def result_digests(update_golden):
-    """``check(key, result)``: assert the sha256 of a result's canonical
-    bytes against ``tests/golden/results.json``.
-
-    Under ``--update-golden`` the digests are recorded instead and
-    merged into the file when the session ends.
-    """
-    from repro.serve.protocol import canonical_result_bytes
-
+@contextmanager
+def _golden_digests(path, section, description, update_golden):
+    """``check(key, data)``: assert the sha256 of ``data`` against
+    ``path[section][key]``; under ``--update-golden`` record it instead
+    and merge the recorded digests into the file on exit."""
     golden = {}
-    if RESULT_DIGESTS.exists():
-        golden = json.loads(RESULT_DIGESTS.read_text())["results"]
+    if path.exists():
+        golden = json.loads(path.read_text())[section]
     recorded = {}
 
-    def check(key, result):
-        digest = hashlib.sha256(
-            canonical_result_bytes(result.to_state())
-        ).hexdigest()
+    def check(key, data):
+        digest = hashlib.sha256(data).hexdigest()
         if update_golden:
             recorded[key] = digest
             return
         assert golden.get(key) == digest, (
-            f"{key}: result digest changed; if intended, rerun with "
+            f"{key}: digest changed; if intended, rerun with "
             "--update-golden and say why in CHANGES.md"
         )
 
     yield check
     if recorded:
-        RESULT_DIGESTS.write_text(json.dumps(
-            {
-                "digest": "sha256 of serve.protocol.canonical_result_bytes"
-                "(result.to_state()), slow path, threshold 0.05",
-                "results": {**golden, **recorded},
-            },
+        path.write_text(json.dumps(
+            {"digest": description, section: {**golden, **recorded}},
             indent=1, sort_keys=True,
         ) + "\n")
+
+
+@pytest.fixture(scope="session")
+def result_digests(update_golden):
+    """``check(key, result)``: assert the sha256 of a result's canonical
+    bytes against ``tests/golden/results.json``."""
+    from repro.serve.protocol import canonical_result_bytes
+
+    with _golden_digests(
+        RESULT_DIGESTS, "results",
+        "sha256 of serve.protocol.canonical_result_bytes"
+        "(result.to_state()), slow path, threshold 0.05",
+        update_golden,
+    ) as check:
+        yield lambda key, result: check(
+            key, canonical_result_bytes(result.to_state())
+        )
+
+
+@pytest.fixture(scope="session")
+def trace_digests(update_golden):
+    """``check(key, data)``: assert the sha256 of ``repro trace`` output
+    bytes against ``tests/golden/traces.json``."""
+    with _golden_digests(
+        TRACE_DIGESTS, "traces",
+        "sha256 of the file `repro trace --workload W --bar B "
+        "--format F -o FILE` writes",
+        update_golden,
+    ) as check:
+        yield check

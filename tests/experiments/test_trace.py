@@ -2,11 +2,23 @@
 
 import json
 
+import pytest
+
 from repro.cli import build_parser, main
-from repro.experiments.trace import default_output, export, run_traced
+from repro.experiments.trace import (
+    TRACE_FORMATS,
+    default_output,
+    export,
+    run_traced,
+)
 from repro.obs.export import read_jsonl, validate_chrome_trace
 
 WORKLOAD = "go"  # small; the suite keeps its compiled bundle warm
+
+#: (workload, bar) cells whose ``repro trace`` bytes are pinned in
+#: ``tests/golden/traces.json``: compiler sync with forwarding stalls
+#: (go, gzip_decomp) and squash-heavy plain TLS (perlbmk).
+GOLDEN_CELLS = (("go", "C"), ("gzip_decomp", "C"), ("perlbmk", "U"))
 
 
 class TestRunTraced:
@@ -85,3 +97,16 @@ class TestCli:
             ["trace", "--workload", WORKLOAD, "--format", "timeline"]
         ) == 0
         assert "core 0 |" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", TRACE_FORMATS)
+@pytest.mark.parametrize("cell", GOLDEN_CELLS, ids="/".join)
+def test_trace_output_matches_golden(cell, fmt, tmp_path, trace_digests):
+    """Every export format's bytes are pinned, not just its shape."""
+    workload, bar = cell
+    out = tmp_path / default_output(workload, bar, fmt)
+    assert main(
+        ["trace", "--workload", workload, "--bar", bar,
+         "--format", fmt, "-o", str(out)]
+    ) == 0
+    trace_digests(f"{workload}/{bar}/{fmt}", out.read_bytes())
