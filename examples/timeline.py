@@ -14,17 +14,20 @@ Run:  python examples/timeline.py [workload] [max_epoch]
 import sys
 
 from repro.experiments.runner import bundle_for
+from repro.obs.bus import CollectorSink, EventBus
+from repro.obs.export import pair_spans, render_timeline
 from repro.tlssim.engine import TLSEngine
-from repro.tlssim.tracing import Tracer, render_timeline
 
 
 def trace(module, label, max_epoch):
-    tracer = Tracer()
-    result = TLSEngine(module, tracer=tracer).run()
-    squashed = sum(1 for r in tracer.runs() if not r[5])
-    committed = sum(1 for r in tracer.runs() if r[5])
+    bus = EventBus()
+    collector = bus.attach(CollectorSink())
+    result = TLSEngine(module, obs=bus).run()
+    runs, _stalls = pair_spans(collector.events)
+    committed = sum(1 for _start, end in runs if end.kind == "commit")
+    squashed = len(runs) - committed
     print(f"--- {label}: {committed} committed runs, {squashed} squashed runs")
-    print(render_timeline(tracer, width=74, max_epoch=max_epoch))
+    print(render_timeline(collector.events, width=74, max_epoch=max_epoch))
     print()
     return result
 

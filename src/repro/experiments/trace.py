@@ -2,11 +2,10 @@
 
 Runs a single (workload, bar) cell with the full observability stack
 attached — a :class:`~repro.obs.bus.CollectorSink` for the raw event
-stream, a :class:`~repro.tlssim.tracing.Tracer` for the ASCII
-timeline, and a :class:`~repro.obs.registry.MetricsSink` aggregating
+stream and a :class:`~repro.obs.registry.MetricsSink` aggregating
 counters and histograms — then exports the stream in the requested
 format (Chrome trace for Perfetto/``chrome://tracing``, JSONL, a
-self-contained HTML report, or the ASCII timeline itself).
+self-contained HTML report, or the ASCII timeline).
 
 Traced runs are never served from the persistent store: the point is the
 event stream, which only a live engine produces.
@@ -20,6 +19,7 @@ from typing import List, Optional
 from repro.obs.bus import CollectorSink, EventBus
 from repro.obs.events import Event
 from repro.obs.export import (
+    render_timeline,
     write_chrome_trace,
     write_html_report,
     write_jsonl,
@@ -28,7 +28,6 @@ from repro.obs.registry import MetricsRegistry, MetricsSink
 from repro.tlssim.config import SimConfig
 from repro.tlssim.engine import TLSEngine
 from repro.tlssim.stats import SimResult
-from repro.tlssim.tracing import Tracer, render_timeline
 
 #: formats ``export`` understands
 TRACE_FORMATS = ("chrome", "jsonl", "html", "timeline")
@@ -44,12 +43,11 @@ class TraceRun:
     issue_width: int
     result: SimResult
     events: List[Event]
-    tracer: Tracer
     registry: MetricsRegistry
 
     def timeline(self, width: int = 76) -> str:
         return render_timeline(
-            self.tracer, width=width, num_cores=self.num_cores
+            self.events, width=width, num_cores=self.num_cores
         )
 
 
@@ -70,7 +68,6 @@ def run_traced(
         oracle = bundle.oracle_for(BAR_PROGRAM[bar])
     bus = EventBus()
     collector = bus.attach(CollectorSink())
-    tracer = bus.attach(Tracer())
     registry = MetricsRegistry()
     bus.attach(MetricsSink(registry, scheme=bar))
     engine = TLSEngine(
@@ -88,7 +85,6 @@ def run_traced(
         issue_width=config.issue_width,
         result=result,
         events=collector.events,
-        tracer=tracer,
         registry=registry,
     )
 

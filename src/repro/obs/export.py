@@ -10,15 +10,18 @@
   simulated cycle maps to one microsecond of trace time.
 * :func:`html_report` — a dependency-free single-file HTML timeline
   (canvas-rendered lanes plus an event-count table) for sharing.
+* :func:`render_timeline` — ASCII per-core occupancy of a region.
 
-:func:`validate_chrome_trace` is the schema check CI's trace-smoke job
-runs against generated traces.
+All three draw epoch runs and stalls from one pairing pass,
+:class:`SpanPairer`.  :func:`validate_chrome_trace` is the schema check
+the trace smoke test runs against generated traces.
 """
 
 from __future__ import annotations
 
 import html
 import json
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import SCHEMA_VERSION, Event
@@ -31,6 +34,63 @@ _INSTANT_KINDS = {
     "sab_overflow": "SAB overflow",
     "pred_miss": "mispredict",
 }
+
+
+_STALL_KINDS = ("fwd_stall", "sync_stall")
+_UNBLOCK_KINDS = ("fwd_unblock", "sync_unblock")
+
+#: A closed ``(start, end)`` pair: an epoch run (``start.kind`` is
+#: ``epoch_start``) or a stall.
+Span = Tuple[Event, Event]
+
+
+class SpanPairer:
+    """Pairs an event stream's epoch runs and stalls, one event at a time.
+
+    A run opens at ``epoch_start`` and closes at its ``commit`` or
+    ``squash``.  A stall opens at ``fwd_stall``/``sync_stall`` and
+    closes at its ``*_unblock``, or at the commit or squash that cuts
+    it short.  Starts and ends pair on ``(epoch, generation)``, and an
+    end always lands on its start's core.
+    """
+
+    def __init__(self):
+        self.open_runs: Dict[Tuple[int, int], Event] = {}
+        self.open_stalls: Dict[Tuple[int, int], Event] = {}
+
+    def feed(self, event: Event) -> List[Span]:
+        """The spans ``event`` closes, a cut-short stall before its run."""
+        kind = event.kind
+        key = (event.epoch, event.generation)
+        if kind == "epoch_start":
+            self.open_runs[key] = event
+        elif kind in _STALL_KINDS:
+            self.open_stalls[key] = event
+        elif kind in _UNBLOCK_KINDS:
+            start = self.open_stalls.pop(key, None)
+            if start is not None:
+                return [(start, event)]
+        elif kind in ("commit", "squash"):
+            closed = []
+            for opened in (self.open_stalls, self.open_runs):
+                start = opened.pop(key, None)
+                if start is not None:
+                    closed.append((start, event))
+            return closed
+        return []
+
+
+def pair_spans(events: Iterable[Event]) -> Tuple[List[Span], List[Span]]:
+    """``(runs, stalls)``: every closed span of a stream, in closing order."""
+    pairer = SpanPairer()
+    runs: List[Span] = []
+    stalls: List[Span] = []
+    for event in events:
+        for start, end in pairer.feed(event):
+            (runs if start.kind == "epoch_start" else stalls).append(
+                (start, end)
+            )
+    return runs, stalls
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +169,7 @@ def chrome_trace(
         )
 
     body: List[Dict] = []
-    open_runs: Dict[Tuple[int, int], Event] = {}
-    open_stalls: Dict[Tuple[int, int], Event] = {}
+    pairer = SpanPairer()
     open_region: Optional[Event] = None
     # (channel, msg_kind, consumer) -> FIFO of pending send events
     pending_sends: Dict[Tuple, List[Event]] = {}
@@ -119,10 +178,36 @@ def chrome_trace(
 
     for event in events:
         kind = event.kind
-        key = (event.epoch, event.generation)
         core = event.core if event.core >= 0 else _core_of(
             event.epoch, num_cores
         )
+        for start, end in pairer.feed(event):
+            if start.kind == "epoch_start":
+                name = f"epoch {end.epoch}"
+                if end.generation:
+                    name += f" (retry {end.generation})"
+                body.append(
+                    {
+                        "name": name, "cat": "epoch", "ph": "X",
+                        "pid": pid, "tid": core,
+                        "ts": start.time,
+                        "dur": max(0.0, end.time - start.time),
+                        "args": {"outcome": kind, **end.fields},
+                    }
+                )
+            elif end.kind in _UNBLOCK_KINDS:
+                body.append(
+                    {
+                        "name": "stall ({})".format(
+                            start.fields.get("channel")
+                            or start.fields.get("cause", "?")
+                        ),
+                        "cat": "stall", "ph": "X", "pid": pid, "tid": core,
+                        "ts": start.time,
+                        "dur": max(0.0, end.time - start.time),
+                        "args": dict(start.fields),
+                    }
+                )
         if kind == "region_start":
             open_region = event
         elif kind == "region_end" and open_region is not None:
@@ -138,41 +223,6 @@ def chrome_trace(
                 }
             )
             open_region = None
-        elif kind == "epoch_start":
-            open_runs[key] = event
-        elif kind in ("commit", "squash"):
-            start = open_runs.pop(key, None)
-            if start is not None:
-                name = f"epoch {event.epoch}"
-                if event.generation:
-                    name += f" (retry {event.generation})"
-                body.append(
-                    {
-                        "name": name, "cat": "epoch", "ph": "X",
-                        "pid": pid, "tid": core,
-                        "ts": start.time,
-                        "dur": max(0.0, event.time - start.time),
-                        "args": {"outcome": kind, **event.fields},
-                    }
-                )
-            open_stalls.pop(key, None)
-        elif kind in ("fwd_stall", "sync_stall"):
-            open_stalls[key] = event
-        elif kind in ("fwd_unblock", "sync_unblock"):
-            start = open_stalls.pop(key, None)
-            if start is not None:
-                body.append(
-                    {
-                        "name": "stall ({})".format(
-                            start.fields.get("channel")
-                            or start.fields.get("cause", "?")
-                        ),
-                        "cat": "stall", "ph": "X", "pid": pid, "tid": core,
-                        "ts": start.time,
-                        "dur": max(0.0, event.time - start.time),
-                        "args": dict(start.fields),
-                    }
-                )
         elif kind in ("fwd_send", "fwd_replace"):
             fifo_key = (
                 event.fields.get("channel"),
@@ -498,38 +548,29 @@ def html_report(
     runs: List[Dict] = []
     stalls: List[Dict] = []
     violations: List[Dict] = []
-    open_runs: Dict[Tuple[int, int], Event] = {}
-    open_stalls: Dict[Tuple[int, int], Event] = {}
+    pairer = SpanPairer()
     kind_counts: Dict[str, int] = {}
     t0 = None
     t1 = None
     for event in events:
         kind_counts[event.kind] = kind_counts.get(event.kind, 0) + 1
-        key = (event.epoch, event.generation)
         core = event.core if event.core >= 0 else _core_of(
             event.epoch, num_cores
         )
         kind = event.kind
-        if kind == "epoch_start":
-            open_runs[key] = event
-        elif kind in ("commit", "squash"):
-            start = open_runs.pop(key, None)
-            if start is not None:
+        for start, end in pairer.feed(event):
+            if start.kind == "epoch_start":
                 runs.append(
                     {
-                        "core": core, "start": start.time, "end": event.time,
+                        "core": core, "start": start.time, "end": end.time,
                         "committed": kind == "commit",
                     }
                 )
-        elif kind in ("fwd_stall", "sync_stall"):
-            open_stalls[key] = event
-        elif kind in ("fwd_unblock", "sync_unblock"):
-            start = open_stalls.pop(key, None)
-            if start is not None:
+            elif end.kind in _UNBLOCK_KINDS:
                 stalls.append(
-                    {"core": core, "start": start.time, "end": event.time}
+                    {"core": core, "start": start.time, "end": end.time}
                 )
-        elif kind == "violation":
+        if kind == "violation":
             violations.append({"core": core, "time": event.time})
         if kind in ("region_start", "epoch_start"):
             if t0 is None or event.time < t0:
@@ -557,3 +598,86 @@ def write_html_report(
 ) -> None:
     with open(path, "w") as handle:
         handle.write(html_report(events, num_cores=num_cores, title=title))
+
+
+# ---------------------------------------------------------------------------
+# ASCII timeline
+# ---------------------------------------------------------------------------
+
+def render_timeline(
+    events: Sequence[Event],
+    width: int = 76,
+    num_cores: Optional[int] = None,
+    max_epoch: Optional[int] = None,
+) -> str:
+    """ASCII per-core occupancy of the first traced region.
+
+    Committed runs render as ``[nn====]``, squashed ones as ``[nnxxxx]``
+    (nn = epoch index modulo 100); stretches where the run was stalled
+    on synchronization are overdrawn as ``~``; idle time is blank.  The
+    scale is linear from region start to region end.  Regions with zero
+    committed epochs (all runs squashed, or a trace cut short) render
+    the squashed runs rather than erroring; a trace with no finished
+    epoch runs at all yields a placeholder line.
+    """
+    run_spans, stall_spans = pair_spans(events)
+    runs = [
+        (start.epoch, start.generation, start.core, start.time, end.time,
+         end.kind == "commit")
+        for start, end in run_spans
+        if math.isfinite(start.time) and math.isfinite(end.time)
+    ]
+    if max_epoch is not None:
+        runs = [r for r in runs if r[0] <= max_epoch]
+    if not runs:
+        return "(no epoch runs traced)"
+    start = min(r[3] for r in runs)
+    end = max(r[4] for r in runs)
+    span = max(end - start, 1e-9)
+    cores = num_cores if num_cores and num_cores > 0 else (
+        max(r[2] for r in runs) + 1
+    )
+
+    def column(time: float) -> int:
+        return min(width - 1, max(0, int((time - start) / span * width)))
+
+    #: (epoch, generation) -> run extent, for clipping stall segments
+    extents = {(r[0], r[1]): (r[3], r[4]) for r in runs}
+    stalls_by_run: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
+    for stall, unblock in stall_spans:
+        key = (stall.epoch, stall.generation)
+        extent = extents.get(key)
+        if extent is None:
+            continue
+        clipped_end = min(unblock.time, extent[1])
+        clipped_start = max(stall.time, extent[0])
+        if clipped_end > clipped_start:
+            stalls_by_run.setdefault(key, []).append(
+                (clipped_start, clipped_end)
+            )
+
+    rows = []
+    for core in range(cores):
+        line = [" "] * width
+        for epoch, gen, run_core, run_start, run_end, committed in runs:
+            if run_core != core:
+                continue
+            left, right = column(run_start), column(run_end)
+            fill = "=" if committed else "x"
+            for position in range(left, max(right, left + 1)):
+                line[position] = fill
+            for s_start, s_end in stalls_by_run.get((epoch, gen), ()):
+                s_left, s_right = column(s_start), column(s_end)
+                for position in range(s_left, max(s_right, s_left + 1)):
+                    line[position] = "~"
+            label = f"{epoch % 100:02d}"
+            if right - left >= 3:
+                line[left] = label[0]
+                line[left + 1] = label[1]
+        rows.append(f"core {core} |{''.join(line)}|")
+    header = (
+        f"t={start:.0f}"
+        + " " * max(1, width - len(f"t={start:.0f}") - len(f"t={end:.0f}") + 7)
+        + f"t={end:.0f}"
+    )
+    return "\n".join([header] + rows)

@@ -202,22 +202,13 @@ class TLSEngine:
         config: Optional[SimConfig] = None,
         oracle: Optional[ValueOracle] = None,
         parallel: bool = True,
-        tracer=None,
         obs: Optional[EventBus] = None,
     ):
         self.module = module
         self.config = config or SimConfig()
         self.oracle = oracle
-        #: optional legacy repro.tlssim.tracing.Tracer; kept as an
-        #: attribute for compatibility, but fed through the event bus
-        #: (the tracer is just another sink).
-        self.tracer = tracer
         #: optional repro.obs.bus.EventBus; None (the default) keeps
         #: every emission site on a single-branch no-op path.
-        if tracer is not None:
-            if obs is None:
-                obs = EventBus()
-            obs.attach(tracer)
         self.obs = obs
         #: False = sequential baseline: same cost model on one core,
         #: regions tracked (for normalization) but not parallelized.

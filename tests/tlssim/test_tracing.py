@@ -1,36 +1,75 @@
-"""Engine tracing and timeline rendering."""
+"""Engine event traces and timeline rendering over typed events."""
 
+from repro.obs.bus import CollectorSink, EventBus
+from repro.obs.events import Event
+from repro.obs.export import SpanPairer, pair_spans, render_timeline
 from repro.tlssim.engine import TLSEngine
-from repro.tlssim.tracing import TraceEvent, Tracer, render_timeline
 
 from tests.tlssim.conftest import make_counted_loop
 
 
 def traced_run(module):
-    tracer = Tracer()
-    result = TLSEngine(module, tracer=tracer).run()
-    return tracer, result
+    bus = EventBus()
+    collector = bus.attach(CollectorSink())
+    result = TLSEngine(module, obs=bus).run()
+    return collector.events, result
+
+
+def of_kind(events, kind):
+    return [e for e in events if e.kind == kind]
+
+
+def runs(events):
+    """(epoch, generation, core, start, end, committed) per closed run."""
+    return [
+        (start.epoch, start.generation, start.core, start.time, end.time,
+         end.kind == "commit")
+        for start, end in pair_spans(events)[0]
+    ]
+
+
+def stalls(events):
+    """(epoch, generation, core, start, end) per stall.
+
+    ``end`` is None for a stall its run's commit or squash cut short,
+    and for one still open when the stream ends.
+    """
+    pairer = SpanPairer()
+    found = []
+    for event in events:
+        for start, end in pairer.feed(event):
+            if start.kind != "epoch_start":
+                unblocked = end.kind.endswith("_unblock")
+                found.append(
+                    (start.epoch, start.generation, start.core, start.time,
+                     end.time if unblocked else None)
+                )
+    for start in pairer.open_stalls.values():
+        found.append(
+            (start.epoch, start.generation, start.core, start.time, None)
+        )
+    return found
 
 
 class TestTracer:
     def test_region_boundaries(self):
-        tracer, _ = traced_run(make_counted_loop(iters=10, filler=20))
-        assert len(tracer.of_kind("region_start")) == 1
-        assert len(tracer.of_kind("region_end")) == 1
-        start = tracer.of_kind("region_start")[0]
-        end = tracer.of_kind("region_end")[0]
+        events, _ = traced_run(make_counted_loop(iters=10, filler=20))
+        assert len(of_kind(events, "region_start")) == 1
+        assert len(of_kind(events, "region_end")) == 1
+        start = of_kind(events, "region_start")[0]
+        end = of_kind(events, "region_end")[0]
         assert start.time <= end.time
 
     def test_commit_per_epoch(self):
-        tracer, _ = traced_run(make_counted_loop(iters=10, filler=20))
-        commits = tracer.of_kind("commit")
+        events, _ = traced_run(make_counted_loop(iters=10, filler=20))
+        commits = of_kind(events, "commit")
         assert sorted(e.epoch for e in commits)[:10] == list(range(10))
 
     def test_runs_pair_starts_with_ends(self):
-        tracer, _ = traced_run(make_counted_loop(iters=10, filler=20))
-        runs = tracer.runs()
-        assert len(runs) >= 10
-        for _epoch, _gen, core, start, end, _committed in runs:
+        events, _ = traced_run(make_counted_loop(iters=10, filler=20))
+        closed = runs(events)
+        assert len(closed) >= 10
+        for _epoch, _gen, core, start, end, _committed in closed:
             assert 0 <= core < 4
             assert end >= start
 
@@ -42,12 +81,12 @@ class TestTracer:
         module = make_counted_loop(
             iters=20, body=body, globals_spec=[("shared", 1, 0)], filler=40
         )
-        tracer, _ = traced_run(module)
-        assert tracer.of_kind("violation")
-        squashed = [r for r in tracer.runs() if not r[5]]
+        events, _ = traced_run(module)
+        assert of_kind(events, "violation")
+        squashed = [r for r in runs(events) if not r[5]]
         assert squashed
         # every squashed generation is eventually recommitted
-        committed_epochs = {r[0] for r in tracer.runs() if r[5]}
+        committed_epochs = {r[0] for r in runs(events) if r[5]}
         assert set(range(20)) <= committed_epochs
 
     def test_tracing_does_not_change_results(self):
@@ -60,20 +99,20 @@ class TestTracer:
 
 class TestTimeline:
     def test_renders_rows_per_core(self):
-        tracer, _ = traced_run(make_counted_loop(iters=12, filler=25))
-        art = render_timeline(tracer, width=60)
+        events, _ = traced_run(make_counted_loop(iters=12, filler=25))
+        art = render_timeline(events, width=60)
         lines = art.splitlines()
         assert len(lines) == 5  # header + 4 cores
         assert lines[1].startswith("core 0 |")
         assert "=" in art
 
     def test_empty_tracer(self):
-        assert "no epoch runs" in render_timeline(Tracer())
+        assert "no epoch runs" in render_timeline([])
 
     def test_max_epoch_filter(self):
-        tracer, _ = traced_run(make_counted_loop(iters=12, filler=25))
-        short = render_timeline(tracer, width=60, max_epoch=3)
-        full = render_timeline(tracer, width=60)
+        events, _ = traced_run(make_counted_loop(iters=12, filler=25))
+        short = render_timeline(events, width=60, max_epoch=3)
+        full = render_timeline(events, width=60)
         assert short != full
 
     def test_squashes_drawn_differently(self):
@@ -84,42 +123,54 @@ class TestTimeline:
         module = make_counted_loop(
             iters=20, body=body, globals_spec=[("shared", 1, 0)], filler=40
         )
-        tracer, _ = traced_run(module)
-        art = render_timeline(tracer, width=70)
+        events, _ = traced_run(module)
+        art = render_timeline(events, width=70)
         assert "x" in art and "=" in art
 
 
+def event(kind, time, epoch, generation, core, **fields):
+    return Event(0, kind, time, epoch, generation, core, fields)
+
+
+#: tie order at one instant: a run opens before its stall, and a stall
+#: unblocks before its run ends
+_RANK = {"epoch_start": 0, "fwd_stall": 1, "fwd_unblock": 2}
+
+
 def hand_tracer(runs, stalls=()):
-    """A Tracer built directly from (epoch, gen, core, start, end,
-    committed) run tuples and (epoch, gen, core, start, end) stalls —
-    no engine involved, so renderer behaviour is pinned exactly."""
-    tracer = Tracer()
+    """An event stream built directly from (epoch, gen, core, start,
+    end, committed) run tuples and (epoch, gen, core, start, end)
+    stalls — no engine involved, so renderer behaviour is pinned
+    exactly.  A stall whose ``end`` is None stays open until its run
+    ends."""
+    events = []
     for epoch, gen, core, start, end, committed in runs:
-        tracer.epoch_start(epoch, gen, core, start)
+        events.append(event("epoch_start", start, epoch, gen, core))
         if committed:
-            tracer.commit(epoch, gen, core, end)
+            events.append(event("commit", end, epoch, gen, core))
         else:
-            tracer.squash(epoch, gen, core, end, "store")
-    for epoch, gen, core, start, end in stalls:
-        tracer.events.append(
-            TraceEvent("stall_start", start, epoch, gen, core)
-        )
-        if end is not None:
-            tracer.events.append(
-                TraceEvent("stall_end", end, epoch, gen, core)
+            events.append(
+                event("squash", end, epoch, gen, core, reason="store")
             )
-    return tracer
+    for epoch, gen, core, start, end in stalls:
+        events.append(event("fwd_stall", start, epoch, gen, core))
+        if end is not None:
+            events.append(event("fwd_unblock", end, epoch, gen, core))
+    events.sort(key=lambda e: (e.time, _RANK.get(e.kind, 3)))
+    for seq, each in enumerate(events):
+        each.seq = seq
+    return events
 
 
 class TestTimelineDirect:
     """Renderer unit tests over hand-built traces."""
 
     def test_stall_overdrawn_as_tilde(self):
-        tracer = hand_tracer(
+        events = hand_tracer(
             runs=[(0, 0, 0, 0.0, 100.0, True)],
             stalls=[(0, 0, 0, 25.0, 75.0)],
         )
-        art = render_timeline(tracer, width=40, num_cores=1)
+        art = render_timeline(events, width=40, num_cores=1)
         row = art.splitlines()[1]
         assert "~" in row and "=" in row
         # the stall sits strictly inside the run, not at its edges
@@ -127,64 +178,67 @@ class TestTimelineDirect:
         assert fill.strip()[0] != "~" and fill.strip()[-1] != "~"
 
     def test_open_stall_clipped_to_run_end(self):
-        tracer = hand_tracer(
+        events = hand_tracer(
             runs=[(0, 0, 0, 0.0, 50.0, False)],
             stalls=[(0, 0, 0, 40.0, None)],  # squashed mid-stall
         )
-        art = render_timeline(tracer, width=40, num_cores=1)
+        art = render_timeline(events, width=40, num_cores=1)
         assert "~" in art
 
     def test_stall_outside_run_extent_ignored(self):
-        tracer = hand_tracer(
+        events = hand_tracer(
             runs=[(0, 0, 0, 0.0, 50.0, True)],
             stalls=[(9, 0, 0, 10.0, 20.0)],  # no such run
         )
-        assert "~" not in render_timeline(tracer, width=40, num_cores=1)
+        assert "~" not in render_timeline(events, width=40, num_cores=1)
 
     def test_zero_committed_epochs_tolerated(self):
-        tracer = hand_tracer(
+        events = hand_tracer(
             runs=[(0, 0, 0, 0.0, 30.0, False), (1, 0, 1, 5.0, 30.0, False)]
         )
-        art = render_timeline(tracer, width=40, num_cores=2)
+        art = render_timeline(events, width=40, num_cores=2)
         body = "\n".join(art.splitlines()[1:])
         assert "x" in body and "=" not in body
 
     def test_non_finite_runs_filtered(self):
-        tracer = hand_tracer(runs=[(0, 0, 0, 0.0, 60.0, True)])
-        tracer.epoch_start(1, 0, 1, float("-inf"))
-        tracer.commit(1, 0, 1, 10.0)
-        art = render_timeline(tracer, width=40, num_cores=2)
+        events = hand_tracer(runs=[(0, 0, 0, 0.0, 60.0, True)])
+        events.append(event("epoch_start", float("-inf"), 1, 0, 1))
+        events.append(event("commit", 10.0, 1, 0, 1))
+        art = render_timeline(events, width=40, num_cores=2)
         assert art.splitlines()[0].startswith("t=0")
 
     def test_all_runs_non_finite_yields_placeholder(self):
-        tracer = Tracer()
-        tracer.epoch_start(0, 0, 0, float("-inf"))
-        tracer.commit(0, 0, 0, float("inf"))
-        assert "no epoch runs" in render_timeline(tracer)
+        events = [
+            event("epoch_start", float("-inf"), 0, 0, 0),
+            event("commit", float("inf"), 0, 0, 0),
+        ]
+        assert "no epoch runs" in render_timeline(events)
 
     def test_num_cores_overrides_row_count(self):
-        tracer = hand_tracer(runs=[(0, 0, 0, 0.0, 10.0, True)])
-        art = render_timeline(tracer, width=40, num_cores=3)
+        events = hand_tracer(runs=[(0, 0, 0, 0.0, 10.0, True)])
+        art = render_timeline(events, width=40, num_cores=3)
         assert len(art.splitlines()) == 4  # header + 3 cores
 
 
 class TestStallQuery:
     def test_closed_pair(self):
-        tracer = hand_tracer(
+        events = hand_tracer(
             runs=[(0, 0, 0, 0.0, 100.0, True)],
             stalls=[(0, 0, 0, 10.0, 30.0)],
         )
-        assert tracer.stalls() == [(0, 0, 0, 10.0, 30.0)]
+        assert stalls(events) == [(0, 0, 0, 10.0, 30.0)]
 
     def test_run_end_closes_open_stall_with_none(self):
-        tracer = Tracer()
-        tracer.epoch_start(0, 0, 0, 0.0)
-        tracer.events.append(TraceEvent("stall_start", 10.0, 0, 0, 0))
-        tracer.squash(0, 0, 0, 40.0, "store")
-        assert tracer.stalls() == [(0, 0, 0, 10.0, None)]
+        events = [
+            event("epoch_start", 0.0, 0, 0, 0),
+            event("fwd_stall", 10.0, 0, 0, 0),
+            event("squash", 40.0, 0, 0, 0, reason="store"),
+        ]
+        assert stalls(events) == [(0, 0, 0, 10.0, None)]
 
     def test_trailing_open_stall_reported(self):
-        tracer = Tracer()
-        tracer.epoch_start(0, 0, 0, 0.0)
-        tracer.events.append(TraceEvent("stall_start", 5.0, 0, 0, 0))
-        assert tracer.stalls() == [(0, 0, 0, 5.0, None)]
+        events = [
+            event("epoch_start", 0.0, 0, 0, 0),
+            event("fwd_stall", 5.0, 0, 0, 0),
+        ]
+        assert stalls(events) == [(0, 0, 0, 5.0, None)]
