@@ -195,7 +195,7 @@ def chrome_trace(
                         "args": {"outcome": kind, **end.fields},
                     }
                 )
-            elif end.kind in _UNBLOCK_KINDS:
+            else:
                 body.append(
                     {
                         "name": "stall ({})".format(
@@ -566,7 +566,7 @@ def html_report(
                         "committed": kind == "commit",
                     }
                 )
-            elif end.kind in _UNBLOCK_KINDS:
+            else:
                 stalls.append(
                     {"core": core, "start": start.time, "end": end.time}
                 )

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs.bus import CollectorSink, EventBus
+from repro.obs.events import Event
 from repro.obs.export import (
     chrome_trace,
     html_report,
@@ -140,3 +141,29 @@ class TestHtmlReport:
         assert "t report" in html
         assert "__DATA__" not in html and "__TITLE__" not in html
         assert "<script" in html and "src=" not in html.split("<script")[1][:40]
+
+
+def cut_short_stall():
+    """A run squashed while its wait is still stalled on a forward."""
+    return [
+        Event(0, "epoch_start", 0.0, 0, 0, 0),
+        Event(1, "fwd_stall", 10.0, 0, 0, 0,
+              {"channel": "i", "cause": "scalar"}),
+        Event(2, "squash", 40.0, 0, 0, 0, {"reason": "restart"}),
+    ]
+
+
+class TestCutShortStall:
+    def test_chrome_stall_slice_ends_at_the_squash(self):
+        payload = chrome_trace(cut_short_stall(), num_cores=1)
+        assert validate_chrome_trace(payload) == []
+        stalls = [
+            (e["tid"], e["ts"], e["ts"] + e["dur"])
+            for e in payload["traceEvents"] if e.get("cat") == "stall"
+        ]
+        assert stalls == [(0, 10.0, 40.0)]
+
+    def test_html_lists_the_stall(self):
+        page = html_report(cut_short_stall(), num_cores=1)
+        data = json.loads(page.split("const DATA = ", 1)[1].split(";\n", 1)[0])
+        assert data["stalls"] == [{"core": 0, "start": 10.0, "end": 40.0}]
