@@ -66,3 +66,56 @@ def make_counted_loop(
 @pytest.fixture
 def counted_loop_factory():
     return make_counted_loop
+
+
+class SlowRuns:
+    """The ``fast_path=False`` run of each (workload, bar, machine)
+    cell, simulated once per session with a collector attached.
+
+    The fast/slow identity tests compare every backend against the
+    same slow run.  Each cell keeps its result and dynamic instruction
+    count for the session; event streams are kept only for the
+    workload last simulated, since its parameters run back to back.
+    """
+
+    def __init__(self):
+        self._cells = {}
+        self._streams = {}
+
+    def run(self, name, bar, machine=(), stream=False):
+        """``(result, instructions, stream)`` of one cell; ``stream``
+        (the event keys) is None unless asked for."""
+        key = (name, bar, machine)
+        if key not in self._cells or (stream and key not in self._streams):
+            self._simulate(key)
+        return (*self._cells[key], self._streams[key] if stream else None)
+
+    def _simulate(self, key):
+        from repro.experiments.runner import BAR_PROGRAM, bundle_for, config_for
+        from repro.obs.bus import CollectorSink, EventBus
+        from repro.tlssim.engine import TLSEngine
+
+        name, bar, machine = key
+        bundle = bundle_for(name)
+        config = config_for(bar).with_mode(**dict(machine), fast_path=False)
+        oracle = None
+        if config.oracle_mode != "off":
+            oracle = bundle.oracle_for(BAR_PROGRAM[bar])
+        bus = EventBus()
+        collector = bus.attach(CollectorSink())
+        engine = TLSEngine(
+            bundle.program(bar), config=config, oracle=oracle,
+            parallel=(bar != "SEQ"), obs=bus,
+        )
+        result = engine.run()
+        self._cells[key] = (result, engine.instructions)
+        self._streams = {
+            other: keys for other, keys in self._streams.items()
+            if other[0] == name
+        }
+        self._streams[key] = [event.key() for event in collector.events]
+
+
+@pytest.fixture(scope="session")
+def slow_runs():
+    return SlowRuns()

@@ -16,6 +16,8 @@ emission sites.
 Both sweeps also pin the slow-path result of every cell to its digest
 in ``tests/golden/results.json`` (the ``result_digests`` fixture), so
 a change that moves the fast and slow paths together still shows.
+Each slow cell is simulated once per session (the ``slow_runs``
+fixture) and shared by both backends here and by ``test_fastpath.py``.
 """
 
 import pytest
@@ -52,7 +54,9 @@ def _stream(program, config, oracle, parallel):
 
 @pytest.mark.parametrize("backend", ("tuples", "vector"))
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_event_streams_identical_on_every_bar(name, backend, result_digests):
+def test_event_streams_identical_on_every_bar(
+    name, backend, result_digests, slow_runs
+):
     bundle = bundle_for(name)
     for bar in BARS:
         program = bundle.program(bar)
@@ -66,9 +70,7 @@ def test_event_streams_identical_on_every_bar(name, backend, result_digests):
             config.with_mode(fast_path=True, backend=backend),
             oracle, parallel,
         )
-        slow_stream, slow_result = _stream(
-            program, config.with_mode(fast_path=False), oracle, parallel
-        )
+        slow_result, _, slow_stream = slow_runs.run(name, bar, stream=True)
         fast_epoch = [k for k in fast_stream if k[0] in EPOCH_KINDS]
         slow_epoch = [k for k in slow_stream if k[0] in EPOCH_KINDS]
         assert fast_epoch == slow_epoch, (
@@ -88,7 +90,7 @@ def test_event_streams_identical_on_every_bar(name, backend, result_digests):
 @pytest.mark.parametrize("machine", MACHINE_POINTS, ids=_machine_id)
 @pytest.mark.parametrize("name", MACHINE_WORKLOADS)
 def test_event_streams_identical_off_default_machine(
-    name, machine, backend, result_digests
+    name, machine, backend, result_digests, slow_runs
 ):
     """Byte-identity holds away from the paper's 4-core default too.
 
@@ -106,8 +108,8 @@ def test_event_streams_identical_off_default_machine(
             config.with_mode(fast_path=True, backend=backend),
             None, True,
         )
-        slow_stream, slow_result = _stream(
-            program, config.with_mode(fast_path=False), None, True
+        slow_result, _, slow_stream = slow_runs.run(
+            name, bar, tuple(sorted(machine.items())), stream=True
         )
         assert fast_stream == slow_stream, (
             f"{name}/{bar}: event streams diverged at {machine} ({backend})"

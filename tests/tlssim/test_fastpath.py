@@ -14,6 +14,11 @@ The matrix deliberately spans every scheme family because each one
 exercises a different engine subsystem: U/O squash-heavy speculation,
 C/T/B/E/L the wait/signal forwarding and signal address buffer, H/P
 the hardware sync table and value predictor, SEQ the sequential loop.
+
+The slow run of each cell comes from the session's ``slow_runs``
+memo, so it is the bus-attached run ``test_event_stream.py`` also
+checks; ``test_bus_does_not_change_results`` pins that attaching the
+bus leaves results unchanged.
 """
 
 import pytest
@@ -26,34 +31,25 @@ BARS = ("U", "C", "T", "H", "P", "B", "E", "L", "O", "SEQ")
 WORKLOADS = tuple(w.name for w in all_workloads())
 
 
-def _run(program, config, oracle, parallel):
-    engine = TLSEngine(program, config=config, oracle=oracle, parallel=parallel)
-    result = engine.run()
-    return result, engine
-
-
 @pytest.mark.parametrize("backend", ("tuples", "vector"))
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_fast_path_equivalent_on_every_bar(name, backend):
+def test_fast_path_equivalent_on_every_bar(name, backend, slow_runs):
     bundle = bundle_for(name)
     for bar in BARS:
-        program = bundle.program(bar)
         config = config_for(bar)
         oracle = None
         if config.oracle_mode != "off":
             oracle = bundle.oracle_for(BAR_PROGRAM[bar])
-        parallel = bar != "SEQ"
-        fast_result, fast_engine = _run(
-            program,
-            config.with_mode(fast_path=True, backend=backend),
-            oracle, parallel,
+        fast_engine = TLSEngine(
+            bundle.program(bar),
+            config=config.with_mode(fast_path=True, backend=backend),
+            oracle=oracle, parallel=(bar != "SEQ"),
         )
-        slow_result, slow_engine = _run(
-            program, config.with_mode(fast_path=False), oracle, parallel
-        )
+        fast_result = fast_engine.run()
+        slow_result, slow_instructions, _ = slow_runs.run(name, bar)
         assert fast_result.to_state() == slow_result.to_state(), (
             f"{name}/{bar}: fast path ({backend}) diverged"
         )
-        assert fast_engine.instructions == slow_engine.instructions, (
+        assert fast_engine.instructions == slow_instructions, (
             f"{name}/{bar}: dynamic instruction counts differ ({backend})"
         )
