@@ -70,9 +70,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.experiments.bars import BARS, unknown_bar_error
 from repro.obs import log as obs_log
-
-BARS = ("U", "C", "T", "H", "P", "PS", "PC", "B", "E", "L", "O", "SEQ")
 
 
 def _setup_run(args) -> None:
@@ -655,10 +654,9 @@ def _workload_list(value: str) -> List[str]:
 def _scheme_list(value: str) -> List[str]:
     schemes = [name.strip().upper() for name in value.split(",") if name.strip()]
     for scheme in schemes:
-        if scheme not in BARS:
-            raise argparse.ArgumentTypeError(
-                f"unknown scheme {scheme!r} (choose from {', '.join(BARS)})"
-            )
+        error = unknown_bar_error(scheme)
+        if error:
+            raise argparse.ArgumentTypeError(error)
     return schemes
 
 

@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import cache as cache_mod
 from repro.experiments import metrics as metrics_mod
+from repro.experiments.bars import BAR_PROGRAM, unknown_bar_error
 from repro.experiments.scheduler import JobGraph, JobNode, JobSpec, spec_id
 from repro.obs import log as log_mod
 from repro.tlssim.config import SimConfig
@@ -61,22 +62,6 @@ if TYPE_CHECKING:
     from repro.compiler.pipeline import CompiledWorkload
     from repro.ir.module import Module
     from repro.tlssim.oracle import ValueOracle
-
-#: program choice per bar label: which compiled binary runs.
-BAR_PROGRAM = {
-    "U": "baseline",
-    "O": "baseline",
-    "H": "baseline",
-    "P": "baseline",
-    "PS": "baseline",
-    "PC": "baseline",
-    "C": "sync_ref",
-    "T": "sync_train",
-    "B": "sync_ref",
-    "E": "sync_ref",
-    "L": "sync_ref",
-    "SEQ": "seq",
-}
 
 #: dependence-frequency thresholds whose load sets are part of the
 #: cached profile summary (the Figure 6 sweep).
@@ -122,7 +107,7 @@ def config_for(bar: str, base: Optional[SimConfig] = None) -> SimConfig:
         return config.with_mode(prediction=True, predictor="context")
     if bar == "B":
         return config.with_mode(hw_sync=True)
-    raise ValueError(f"unknown bar {bar!r}")
+    raise ValueError(unknown_bar_error(bar))
 
 
 #: What determines a simulation result within one bundle: (program

@@ -15,16 +15,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.experiments.bars import unknown_bar_error
 from repro.obs.events import Event
 from repro.obs.export import jsonl_lines
 
 #: Version segment of every endpoint path (``/v1/...``).
 API_VERSION = 1
-
-#: Bar labels a job may request (mirrors ``repro.cli.BARS``).
-SERVE_BARS = (
-    "U", "C", "T", "H", "P", "PS", "PC", "B", "E", "L", "O", "SEQ"
-)
 
 #: Simulator backends a job may request (mirrors ``SimConfig.backend``).
 SERVE_BACKENDS = ("tuples", "vector")
@@ -129,10 +125,9 @@ class JobRequest:
         if error:
             raise ProtocolError(error)
         bar = payload.get("bar", "C")
-        if not isinstance(bar, str) or bar.upper() not in SERVE_BARS:
-            raise ProtocolError(
-                f"unknown bar {bar!r} (choose from {', '.join(SERVE_BARS)})"
-            )
+        error = unknown_bar_error(bar.upper() if isinstance(bar, str) else bar)
+        if error:
+            raise ProtocolError(error)
         threshold = payload.get("threshold", 0.05)
         if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
             raise ProtocolError("'threshold' must be a number")

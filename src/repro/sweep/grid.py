@@ -155,7 +155,7 @@ class SweepGrid:
     grid_file: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
-        from repro.experiments.runner import BAR_PROGRAM
+        from repro.experiments.bars import unknown_bar_error
         from repro.workloads.base import unknown_workload_error
 
         if not self.workloads:
@@ -167,12 +167,9 @@ class SweepGrid:
             if error:
                 raise GridError(error)
         for bar in self.bars:
-            if bar not in BAR_PROGRAM:
-                raise GridError(
-                    f"unknown bar {bar!r} (choose from "
-                    + ", ".join(sorted(BAR_PROGRAM))
-                    + ")"
-                )
+            error = unknown_bar_error(bar)
+            if error:
+                raise GridError(error)
         if self.axes and self.points:
             raise GridError(
                 "'axes' (cartesian) and 'points' (explicit) are mutually "

@@ -286,36 +286,6 @@ class SimConfig:
             )
 
 
-#: Canonical bar-name -> config-override mapping used by experiments.
-def config_for_bar(bar: str, base: SimConfig = SimConfig()) -> SimConfig:
-    """Config for one of the paper's bar labels (see module docstring).
-
-    The *program* (untransformed vs transformed) is chosen by the
-    caller; this helper only sets the machine flags.
-    """
-    if bar in ("U", "T", "C"):
-        return base
-    if bar == "O":
-        return base.with_mode(oracle_mode="all")
-    if bar == "E":
-        return base.with_mode(oracle_mode="sync")
-    if bar == "L":
-        return base.with_mode(l_mode_stall=True)
-    if bar == "H":
-        return base.with_mode(hw_sync=True)
-    if bar == "P":
-        # P keeps base.predictor (default 'last') so a swept predictor
-        # axis composes with the plain prediction bar.
-        return base.with_mode(prediction=True)
-    if bar == "PS":
-        return base.with_mode(prediction=True, predictor="stride")
-    if bar == "PC":
-        return base.with_mode(prediction=True, predictor="context")
-    if bar == "B":
-        return base.with_mode(hw_sync=True)
-    raise ValueError(f"unknown bar label {bar!r}")
-
-
 #: Human-readable Table 1 rows, for the config self-check benchmark.
 TABLE1 = {
     "Issue Width": "4",

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.tlssim.cache import CacheHierarchy, LRUCache
-from repro.tlssim.config import TABLE1, SimConfig, config_for_bar
+from repro.experiments.runner import config_for
+from repro.tlssim.config import TABLE1, SimConfig
 from repro.tlssim.forwarding import ChannelBank, SignalAddressBuffer
 from repro.tlssim.hwsync import ViolatingLoadTable
 from repro.tlssim.prediction import LastValuePredictor
@@ -221,14 +222,14 @@ class TestConfig:
             SimConfig(oracle_mode="bogus")
 
     def test_config_for_bar(self):
-        assert config_for_bar("O").oracle_mode == "all"
-        assert config_for_bar("E").oracle_mode == "sync"
-        assert config_for_bar("H").hw_sync
-        assert config_for_bar("P").prediction
-        assert config_for_bar("L").l_mode_stall
-        assert config_for_bar("U") == SimConfig()
+        assert config_for("O").oracle_mode == "all"
+        assert config_for("E").oracle_mode == "sync"
+        assert config_for("H").hw_sync
+        assert config_for("P").prediction
+        assert config_for("L").l_mode_stall
+        assert config_for("U") == SimConfig()
         with pytest.raises(ValueError):
-            config_for_bar("Z")
+            config_for("Z")
 
     def test_hashable_for_memoization(self):
         assert hash(SimConfig()) == hash(SimConfig())
