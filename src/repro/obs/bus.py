@@ -16,9 +16,9 @@ Design constraints, in priority order:
    operation and ``emit`` stamps events with it when no explicit time
    is passed.
 
-A *sink* is anything with an ``on_event(event)`` method — including
-the legacy :class:`repro.tlssim.tracing.Tracer`, which adapts the
-epoch-lifecycle kinds back into its ``TraceEvent`` list.
+A *sink* is anything with an ``on_event(event)`` method, such as
+:class:`CollectorSink` (whose stream every exporter reads) or
+:class:`repro.obs.registry.MetricsSink`.
 """
 
 from __future__ import annotations

@@ -100,9 +100,9 @@ KINDS: Dict[str, tuple] = {
                    "('l2' or 'mem')"),
 }
 
-#: The epoch-lifecycle subset: exactly the granularity the legacy
-#: ``Tracer`` recorded, and the stream the fast/slow equivalence
-#: acceptance test pins byte-identical.
+#: The epoch-lifecycle subset: the stream the fast/slow equivalence
+#: acceptance test pins byte-identical before it compares the full
+#: stream.
 EPOCH_KINDS = frozenset(
     kind for kind, (category, _fields, _doc) in KINDS.items()
     if category == "epoch"
