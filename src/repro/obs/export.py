@@ -192,7 +192,7 @@ def chrome_trace(
                         "pid": pid, "tid": core,
                         "ts": start.time,
                         "dur": max(0.0, end.time - start.time),
-                        "args": {"outcome": kind, **end.fields},
+                        "args": {"outcome": end.kind, **end.fields},
                     }
                 )
             else:
@@ -563,7 +563,7 @@ def html_report(
                 runs.append(
                     {
                         "core": core, "start": start.time, "end": end.time,
-                        "committed": kind == "commit",
+                        "committed": end.kind == "commit",
                     }
                 )
             else:
