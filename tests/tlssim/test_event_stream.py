@@ -22,13 +22,13 @@ fixture) and shared by both backends here and by ``test_fastpath.py``.
 
 import pytest
 
+from repro.experiments.bars import BARS
 from repro.experiments.runner import BAR_PROGRAM, bundle_for, config_for
 from repro.obs.bus import CollectorSink, EventBus
 from repro.obs.events import EPOCH_KINDS
 from repro.tlssim.engine import TLSEngine
 from repro.workloads import all_workloads
 
-BARS = ("U", "C", "T", "H", "P", "PS", "PC", "B", "E", "L", "O", "SEQ")
 WORKLOADS = tuple(w.name for w in all_workloads())
 
 #: machine-model points for the parameterized-machine identity matrix
