@@ -643,6 +643,19 @@ def _workload_name(value: str) -> str:
     return value
 
 
+def _core_count(value: str) -> int:
+    from repro.tlssim.config import override_error
+
+    try:
+        cores: object = int(value)
+    except ValueError:
+        cores = value
+    error = override_error("num_cores", cores)
+    if error:
+        raise argparse.ArgumentTypeError(error)
+    return cores
+
+
 def _workload_list(value: str) -> List[str]:
     return [
         _workload_name(name.strip())
@@ -727,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser = sub.add_parser("simulate", help="simulate one bar")
     simulate_parser.add_argument("workload", type=_workload_name)
     simulate_parser.add_argument("--bar", choices=BARS, default="C")
-    simulate_parser.add_argument("--cores", type=int, default=4)
+    simulate_parser.add_argument("--cores", type=_core_count, default=4)
     simulate_parser.add_argument("--threshold", type=float, default=0.05)
     _add_run_options(simulate_parser, jobs=False)
     simulate_parser.set_defaults(func=_cmd_simulate)
@@ -797,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
         "http://127.0.0.1:8765)",
     )
     trace_parser.add_argument("--bar", choices=BARS, default="C")
-    trace_parser.add_argument("--cores", type=int, default=4)
+    trace_parser.add_argument("--cores", type=_core_count, default=4)
     trace_parser.add_argument("--threshold", type=float, default=0.05)
     trace_parser.add_argument(
         "--format",
@@ -822,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
         "`repro trace --format jsonl`",
     )
     analyze_parser.add_argument("--bar", choices=BARS, default="C")
-    analyze_parser.add_argument("--cores", type=int, default=4)
+    analyze_parser.add_argument("--cores", type=_core_count, default=4)
     analyze_parser.add_argument("--threshold", type=float, default=0.05)
     analyze_parser.add_argument(
         "--top", type=int, default=10,

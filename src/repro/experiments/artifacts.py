@@ -25,8 +25,9 @@ Keys are content hashes that embed a per-kind source fingerprint:
 Writes are atomic (temp file + ``os.replace``); a failed write (full
 disk, read-only root) is logged and dropped, since the caller already
 holds the value.  Reads are corruption-tolerant: a truncated or
-garbage entry is unlinked and treated as a miss, and an entry whose
-embedded fingerprint does not match the running code is ignored.
+garbage entry, or one whose payload bytes no longer match the sha256
+recorded beside them, is unlinked and treated as a miss, and an entry
+whose embedded fingerprint does not match the running code is ignored.
 Both bump a counter (surfaced via run metrics and the process metrics
 registry) and fall back to recomputation; they never crash.
 
@@ -56,7 +57,7 @@ if TYPE_CHECKING:
     from repro.tlssim.oracle import ValueOracle
 
 #: Bump to invalidate every stored entry on a format change.
-ARTIFACT_SCHEMA_VERSION = 2
+ARTIFACT_SCHEMA_VERSION = 3
 
 #: Default store root (relative to the current working directory);
 #: the ``REPRO_CACHE_DIR`` environment variable overrides it.
@@ -74,6 +75,10 @@ KINDS = (KIND_RESULT,) + ARTIFACT_KINDS
 # ---------------------------------------------------------------------------
 # fingerprints, keys, counters
 # ---------------------------------------------------------------------------
+
+#: An entry's last key: its value is the payload's digested bytes,
+#: which run from here to the entry's closing brace.
+_PAYLOAD_KEY = b'"payload": '
 
 _SRC_ROOT = Path(__file__).resolve().parent.parent  # src/repro/
 _SHARD = re.compile("[0-9a-f]{2}")
@@ -199,8 +204,8 @@ class ArtifactStore:
         """The stored payload; None on miss, corruption, or mismatch."""
         path = self._path(key, kind)
         try:
-            with open(path, "r") as handle:
-                entry = json.load(handle)
+            data = path.read_bytes()
+            entry = json.loads(data)
             if (
                 entry.get("schema") != ARTIFACT_SCHEMA_VERSION
                 or entry.get("fingerprint") != _kind_fingerprint(kind)
@@ -210,6 +215,9 @@ class ArtifactStore:
                 # recompute, leave the file alone.
                 _bump("version_mismatch")
                 return None
+            body = data[data.index(_PAYLOAD_KEY) + len(_PAYLOAD_KEY):-1]
+            if hashlib.sha256(body).hexdigest() != entry["sha256"]:
+                raise ValueError("payload does not match its digest")
             return entry["payload"]
         except FileNotFoundError:
             return None
@@ -225,19 +233,20 @@ class ArtifactStore:
         value, and the next run simply recomputes it.
         """
         path = self._path(key, kind)
-        entry = {
+        body = json.dumps(payload).encode()
+        header = json.dumps({
             "schema": ARTIFACT_SCHEMA_VERSION,
             "fingerprint": _kind_fingerprint(kind),
-            "payload": payload,
-        }
+            "sha256": hashlib.sha256(body).hexdigest(),
+        }).encode()
         tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
                 dir=path.parent, prefix=".tmp-", suffix=".json"
             )
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(header[:-1] + b", " + _PAYLOAD_KEY + body + b"}")
             os.replace(tmp, path)
             tmp = None
         except OSError as exc:

@@ -708,7 +708,7 @@ def lowered_for(decoded: DecodedProgram, config) -> Optional[LoweredProgram]:
                     program = None
                 else:
                     program.lower_all()
-            except (LowerError, KeyError, TypeError, SyntaxError):
+            except (LowerError, KeyError, TypeError, AttributeError, SyntaxError):
                 program = None  # stale/corrupt entry: relower
     if program is None:
         program = LoweredProgram(decoded, issue_width=issue_width).lower_all()

@@ -8,8 +8,8 @@ expose *cumulative* ``_bucket{le=...}`` series ending in ``+Inf`` plus
 the in-process summaries report.
 
 :func:`parse_prometheus_text` / :func:`validate_prometheus_text` are
-the reference parser the test suite, the serve-smoke CI job, and
-``repro top`` use, including label-value escape handling (``\\``,
+the reference parser the test suite (``tests/smoke/test_serve_smoke.py``
+scrapes a real daemon) and ``repro top`` use, including label-value escape handling (``\\``,
 ``\"``, ``\n``).
 """
 

@@ -1,9 +1,9 @@
 """A small blocking client for the serve API (stdlib ``http.client``).
 
-Used by the test suite, the serve-smoke CI job, and the load
-generator.  One :class:`ServeClient` holds one keep-alive connection;
-it is NOT thread-safe — give each thread its own client (the load
-generator does exactly that).
+Used by the test suite (``tests/smoke/test_serve_smoke.py`` drives a
+real ``repro serve`` process with it), ``repro top`` and ``repro trace
+--job``.  One :class:`ServeClient` holds one keep-alive connection; it
+is NOT thread-safe — give each thread its own client.
 """
 
 from __future__ import annotations

@@ -777,8 +777,8 @@ class Daemon:
 class EmbeddedDaemon:
     """A daemon on a background thread with its own event loop.
 
-    The load generator (and the test suite) use this to stand up a
-    real HTTP daemon in-process::
+    The test suite uses this to stand up a real HTTP daemon
+    in-process::
 
         embedded = EmbeddedDaemon(ServeConfig(port=0, workers=0))
         base_url = embedded.start()

@@ -5,8 +5,9 @@ result payload for a (workload, bar, threshold) job is exactly the
 canonical JSON encoding of the same :class:`~repro.tlssim.stats.SimResult`
 state the batch runner produces, and the events payload is exactly the
 JSONL stream ``repro trace --format jsonl`` writes.  Keeping both
-encodings here — and nowhere else — is what lets the serve-smoke CI
-job ``cmp`` daemon output against batch output.
+encodings here — and nowhere else — is what lets
+``tests/smoke/test_serve_smoke.py`` compare daemon output with batch
+output byte for byte.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from repro.obs.export import jsonl_lines
 
 #: Version segment of every endpoint path (``/v1/...``).
 API_VERSION = 1
-
-#: Simulator backends a job may request (mirrors ``SimConfig.backend``).
-SERVE_BACKENDS = ("tuples", "vector")
 
 #: Job lifecycle states reported by the status endpoint.
 QUEUED = "queued"
@@ -139,59 +137,34 @@ class JobRequest:
         profile = payload.get("profile", False)
         if not isinstance(profile, bool):
             raise ProtocolError("'profile' must be a boolean")
-        backend = payload.get("backend", "tuples")
-        if not isinstance(backend, str) or backend not in SERVE_BACKENDS:
-            raise ProtocolError(
-                f"unknown backend {backend!r} "
-                f"(choose from {', '.join(SERVE_BACKENDS)})"
-            )
-        machine = payload.get("machine", {})
-        if machine is None:
-            machine = {}
+        machine = payload.get("machine")
+        machine = {} if machine is None else machine
         if not isinstance(machine, dict):
             raise ProtocolError("'machine' must be a JSON object")
-        if machine:
-            from repro.tlssim.config import MACHINE_FIELDS, MachineConfig
+        machine = {
+            name: (int(value) if isinstance(value, float)
+                   and value.is_integer() else value)
+            for name, value in machine.items()
+        }
+        from repro.tlssim.config import MACHINE_FIELDS, override_error
 
-            unknown_fields = set(machine) - set(MACHINE_FIELDS)
-            if unknown_fields:
-                raise ProtocolError(
-                    "unknown machine field(s): "
-                    + ", ".join(sorted(unknown_fields))
-                    + f" (choose from {', '.join(MACHINE_FIELDS)})"
-                )
-            for name, value in machine.items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ProtocolError(
-                        f"machine field {name!r} must be a number"
-                    )
-            try:
-                MachineConfig(**{
-                    name: (int(value) if float(value).is_integer() else value)
-                    for name, value in machine.items()
-                })
-            except ValueError as exc:
-                raise ProtocolError(f"invalid machine config: {exc}") from exc
+        backend = payload.get("backend", "tuples")
         predictor = payload.get("predictor")
+        overrides = [(name, value, MACHINE_FIELDS) for name, value in machine.items()]
+        overrides.append(("backend", backend, None))
         if predictor is not None:
-            from repro.tlssim.prediction import PREDICTORS
-
-            if not isinstance(predictor, str) or predictor not in PREDICTORS:
-                raise ProtocolError(
-                    f"unknown predictor {predictor!r} "
-                    f"(choose from {', '.join(sorted(PREDICTORS))})"
-                )
+            overrides.append(("predictor", predictor, None))
+        for name, value, known in overrides:
+            error = override_error(name, value, known)
+            if error:
+                raise ProtocolError(error)
         return cls(
             workload=workload,
             bar=bar.upper(),
             threshold=float(threshold),
             events=events,
             backend=backend,
-            machine=tuple(sorted(
-                (name, (int(value) if isinstance(value, float)
-                        and value.is_integer() else value))
-                for name, value in machine.items()
-            )),
+            machine=tuple(sorted(machine.items())),
             predictor=predictor,
             profile=profile,
         )
@@ -207,7 +180,7 @@ def canonical_result_bytes(result_state: Dict) -> bytes:
 
     Sorted keys, compact separators, trailing newline — any process
     that encodes the same state produces the same bytes, which is the
-    invariant serve-smoke pins with ``cmp``.
+    invariant ``tests/smoke/test_serve_smoke.py`` pins.
     """
     return (
         json.dumps(result_state, sort_keys=True, separators=(",", ":")) + "\n"

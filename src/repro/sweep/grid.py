@@ -29,10 +29,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.tlssim.config import MACHINE_FIELDS, SimConfig
+from repro.tlssim.config import SimConfig, override_error
 
 #: Axes resolved structurally rather than through SimConfig overrides.
 SPECIAL_AXES = ("workload", "bar")
@@ -42,7 +42,6 @@ class GridError(ValueError):
     """A sweep grid failed validation."""
 
 
-_CONFIG_FIELDS = {f.name: f for f in fields(SimConfig)}
 _CONFIG_DEFAULTS = SimConfig()
 
 
@@ -92,17 +91,9 @@ def _validate_override(name: str, value: object) -> None:
             f"{name!r} is a special axis — pass it via the workload/bar "
             "lists, not as a config override"
         )
-    if name not in _CONFIG_FIELDS:
-        known = ", ".join(sorted(MACHINE_FIELDS))
-        raise GridError(
-            f"unknown config axis {name!r}; machine axes: {known}; any "
-            "other SimConfig field (e.g. 'predictor', "
-            "'prediction_confidence', 'backend') is also sweepable"
-        )
-    try:
-        _CONFIG_DEFAULTS.with_mode(**{name: value})
-    except (ValueError, TypeError) as exc:
-        raise GridError(f"bad value for axis {name!r}: {exc}") from exc
+    error = override_error(name, value)
+    if error:
+        raise GridError(error)
 
 
 @dataclass(frozen=True)

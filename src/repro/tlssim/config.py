@@ -36,7 +36,7 @@ B    transformed program, ``hw_sync`` on (compiler+hardware hybrid)
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, FrozenSet, Tuple
+from typing import Collection, Dict, FrozenSet, Optional, Tuple
 
 from repro.tlssim.prediction import PREDICTORS
 
@@ -154,6 +154,42 @@ MACHINE_FIELDS: Tuple[str, ...] = tuple(
 #: The paper's evaluated machine (Table 1) — the byte-identical default.
 PAPER_MACHINE = MachineConfig()
 
+#: SimConfig fields whose value is one of a fixed set of names.
+_CHOICES = {
+    "violation_granularity": ("line", "word"),
+    "predictor": tuple(sorted(PREDICTORS)),
+    "oracle_mode": ("off", "all", "sync", "set"),
+    "backend": ("tuples", "vector"),
+}
+
+
+def override_error(
+    name: str, value: object, known: Optional[Collection[str]] = None
+) -> Optional[str]:
+    """The error every entry point reports for setting config field
+    ``name`` to ``value``, or None when that is legal.
+
+    ``known`` names the fields the caller accepts (default: every
+    :class:`SimConfig` field).  Serve job requests, sweep grids, the
+    CLI's ``--cores`` and :class:`SimConfig` itself all word a bad
+    override here, as ``unknown_bar_error`` does for bar labels.
+    """
+    known = known or [spec.name for spec in fields(SimConfig)]
+    if name not in known:
+        return f"unknown config field {name!r}; valid: {', '.join(known)}"
+    if name in _CHOICES:
+        if value in _CHOICES[name]:
+            return None
+        return f"unknown {name} {value!r}; valid: {', '.join(_CHOICES[name])}"
+    if name in MACHINE_FIELDS:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            return f"{name} must be a number (got {value!r})"
+        try:
+            MachineConfig(**{name: value})
+        except ValueError as exc:
+            return str(exc)
+    return None
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -268,22 +304,10 @@ class SimConfig:
         # Machine-parameter validation lives in MachineConfig; building
         # the slice here makes every SimConfig a validated machine too.
         MachineConfig.from_config(self)
-        if self.oracle_mode not in ("off", "all", "sync", "set"):
-            raise ValueError(f"bad oracle_mode {self.oracle_mode!r}")
-        if self.violation_granularity not in ("line", "word"):
-            raise ValueError(
-                f"bad violation_granularity {self.violation_granularity!r}"
-            )
-        if self.predictor not in PREDICTORS:
-            raise ValueError(
-                f"unknown predictor {self.predictor!r}; valid predictors: "
-                + ", ".join(repr(name) for name in sorted(PREDICTORS))
-            )
-        if self.backend not in ("tuples", "vector"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                "valid backends: 'tuples', 'vector'"
-            )
+        for name in _CHOICES:
+            error = override_error(name, getattr(self, name), _CHOICES)
+            if error:
+                raise ValueError(error)
 
 
 #: Human-readable Table 1 rows, for the config self-check benchmark.

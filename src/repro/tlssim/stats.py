@@ -14,26 +14,13 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-#: When enabled, a negative ``other`` remainder (more busy/fail/sync
-#: slots than the region had in total — always an accounting bug)
-#: raises an :class:`AccountingWarning` instead of being clamped away.
-#: Toggle with :func:`strict_accounting`; the test suite turns it on.
-_STRICT_ACCOUNTING = False
-
 #: Imbalances smaller than this are float noise, not accounting bugs.
 ACCOUNTING_EPSILON = 1e-6
 
 
 class AccountingWarning(UserWarning):
-    """Slot categories exceed the region total (accounting bug)."""
-
-
-def strict_accounting(enabled: bool = True) -> bool:
-    """Enable/disable strict slot accounting; returns the old setting."""
-    global _STRICT_ACCOUNTING
-    previous = _STRICT_ACCOUNTING
-    _STRICT_ACCOUNTING = enabled
-    return previous
+    """Slot categories exceed the region total (accounting bug); warned
+    on every read of a negative ``other``, an error in the test suite."""
 
 
 @dataclass
@@ -63,7 +50,7 @@ class SlotBreakdown:
     @property
     def other(self) -> float:
         remainder = self.unattributed
-        if remainder < -ACCOUNTING_EPSILON and _STRICT_ACCOUNTING:
+        if remainder < -ACCOUNTING_EPSILON:
             warnings.warn(
                 f"slot categories exceed total by {-remainder:g} "
                 f"(busy={self.busy:g} fail={self.fail:g} "

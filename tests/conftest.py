@@ -13,6 +13,9 @@ digests in ``tests/golden/traces.json``
 (``tests/experiments/test_trace.py``).  ``--update-golden`` makes those
 tests rewrite the goldens instead of asserting them; a change that
 does so says why in CHANGES.md.
+
+A :class:`repro.tlssim.stats.AccountingWarning` (more busy/fail/sync
+slots than a region had) fails the test that raises it.
 """
 
 import hashlib
@@ -40,6 +43,14 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite EXPERIMENTS.md's measured results and the "
         "tests/golden/ digests instead of asserting them",
+    )
+
+
+def pytest_configure(config):
+    # Here, not in pyproject's filterwarnings: resolving the category
+    # imports repro, which `pytest perfbench` must not need.
+    config.addinivalue_line(
+        "filterwarnings", "error::repro.tlssim.stats.AccountingWarning"
     )
 
 

@@ -12,6 +12,7 @@ import errno
 import io
 import json
 import os
+import re
 
 import pytest
 
@@ -201,23 +202,52 @@ _COMPUTE = {
 }
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:40])
+
+
+def _flip_digit(path):
+    """Change the entry's last digit (in its payload); the JSON stays
+    valid, so only the payload digest can tell."""
+    data = bytearray(path.read_bytes())
+    at = re.search(rb"[0-9][^0-9]*\Z", data).start()
+    data[at] = ord("2") if data[at] == ord("1") else ord("1")
+    path.write_bytes(bytes(data))
+
+
+def _wrong_type(path):
+    entry = json.loads(path.read_text())
+    entry["payload"] = "not a payload"
+    path.write_text(json.dumps(entry))
+
+
 class TestStoreFaults:
-    @pytest.mark.parametrize("kind", artifacts_mod.KINDS)
-    def test_truncated_entry_recomputed(self, kind, tmp_path, fresh_bundles):
-        """A truncated entry of any kind is unlinked, counted and
-        recomputed to the same value."""
+    def _recomputed(self, kind, damage, tmp_path):
+        """Every entry of ``kind`` damaged: each is unlinked, counted
+        and recomputed to the value a fresh run gives."""
         artifacts_mod.configure(True, str(tmp_path / "store"))
         reference = _COMPUTE[kind]()
         paths = sorted(artifacts_mod.active_store().root.glob(f"*/*.{kind}.json"))
         assert paths
         for path in paths:
-            path.write_bytes(path.read_bytes()[:40])
+            damage(path)
         runner.clear_cache()
         artifacts_mod.reset_counters()
         assert _COMPUTE[kind]() == reference
         assert artifacts_mod.counters()["corrupt"] == len(paths)
         for path in paths:  # rewritten whole by the recompute
             assert json.loads(path.read_text())["payload"] is not None
+
+    @pytest.mark.parametrize("kind", artifacts_mod.KINDS)
+    def test_truncated_entry_recomputed(self, kind, tmp_path, fresh_bundles):
+        self._recomputed(kind, _truncate, tmp_path)
+
+    @pytest.mark.parametrize("kind", artifacts_mod.KINDS)
+    @pytest.mark.parametrize(
+        "damage", [_flip_digit, _wrong_type], ids=["flipped_digit", "wrong_type"]
+    )
+    def test_damaged_entry_recomputed(self, damage, kind, tmp_path, fresh_bundles):
+        self._recomputed(kind, damage, tmp_path)
 
     def test_full_disk_write_is_dropped(self, tmp_path, fresh_bundles, monkeypatch):
         """ENOSPC mid-write: the run still returns the store-less
@@ -226,11 +256,25 @@ class TestStoreFaults:
         runner.clear_cache()
         store = artifacts_mod.configure(True, str(tmp_path / "store"))
 
-        def full_disk(obj, handle, *args, **kwargs):
-            handle.write('{"schema": ')
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_fdopen = os.fdopen
 
-        monkeypatch.setattr(artifacts_mod.json, "dump", full_disk)
+        class FullDisk:
+            """A file that takes 11 bytes, then fails with ENOSPC."""
+
+            def __init__(self, fd, *args, **kwargs):
+                self.handle = real_fdopen(fd, *args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[:11])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(artifacts_mod.os, "fdopen", FullDisk)
         logged = io.StringIO()
         log_mod.configure(stream=logged)
         try:

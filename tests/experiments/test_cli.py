@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.tlssim.config import override_error
 from repro.workloads.base import unknown_workload_error
 
 
@@ -78,6 +79,21 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "unknown workload 'nosuch'; valid: go, " in err
         assert unknown_workload_error("nosuch") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,cores", (
+        (["simulate", "go", "--cores", "0"], 0),
+        (["trace", "--workload", "go", "--cores", "0"], 0),
+        (["analyze", "go:C", "--cores", "99"], 99),
+    ), ids=("simulate", "trace", "analyze"))
+    def test_bad_core_count_clean_error(self, argv, cores, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"error: argument --cores: {override_error('num_cores', cores)}\n"
+        )
         assert "Traceback" not in err
 
     def test_unknown_figure(self, capsys):

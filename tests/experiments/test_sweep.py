@@ -25,6 +25,7 @@ from repro.sweep.surface import (
     render_html_surface,
     surface_table,
 )
+from repro.tlssim.config import override_error
 from repro.workloads.base import unknown_workload_error
 
 
@@ -48,12 +49,15 @@ class TestParseAxis:
 
 class TestGridValidation:
     def test_unknown_axis_name(self):
-        with pytest.raises(GridError, match="unknown config axis"):
+        with pytest.raises(GridError) as caught:
             build_grid(["go"], ["U"], axes=[("num_corez", (2,))])
+        assert str(caught.value) == override_error("num_corez", 2)
 
     def test_bad_axis_value(self):
-        with pytest.raises(GridError, match="num_cores must be between"):
+        with pytest.raises(GridError) as caught:
             build_grid(["go"], ["U"], axes=[("num_cores", (0,))])
+        assert str(caught.value) == override_error("num_cores", 0)
+        assert "num_cores must be between" in str(caught.value)
 
     def test_special_axis_as_override(self):
         with pytest.raises(GridError, match="special axis"):

@@ -17,7 +17,7 @@ from repro.ir.evalops import BINOP_FUNCS, UNOP_FUNCS
 from repro.ir.interpreter import run_module
 from repro.ir.module import ChannelInfo, ParallelLoop
 from repro.obs.registry import process_registry
-from repro.tlssim.config import SimConfig
+from repro.tlssim.config import SimConfig, override_error
 from repro.tlssim.engine import EngineError, TLSEngine
 
 INT64_MIN = -(1 << 63)
@@ -266,8 +266,9 @@ class TestInterpreterBackend:
 
 class TestBackendGate:
     def test_unknown_simconfig_backend_rejected(self):
-        with pytest.raises(ValueError, match="valid backends"):
+        with pytest.raises(ValueError) as caught:
             SimConfig(backend="bogus")
+        assert str(caught.value) == override_error("backend", "bogus")
 
     def test_non_dyadic_cost_model_unavailable(self):
         assert lower.unavailable_reason(SimConfig()) is None
@@ -740,6 +741,30 @@ class TestKernelArtifacts:
         stored = store.load_kernels(module, cost_sig)
         assert stored["version"] == lower.LOWER_SCHEMA_VERSION
         assert stored == engine._program.to_state()
+
+    def test_wrong_typed_table_is_relowered(self, tmp_path):
+        # An entry whose digest holds but whose payload is not a table
+        # (a writer bug, not disk damage) is relowered, not a crash.
+        from repro.experiments import artifacts as artifacts_mod
+
+        module = _mem_loop_module()
+        config = SimConfig(backend="vector")
+        cost_sig = lower.cost_signature(config)
+        store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
+        store.save_kernels(module, cost_sig, "not a table")
+        lower.set_persistence(store.load_kernels, store.save_kernels)
+        try:
+            engine = TLSEngine(module, config=config, parallel=False)
+            got = engine.run()
+        finally:
+            lower.set_persistence(None, None)
+        ref = TLSEngine(
+            _mem_loop_module(), config=SimConfig(backend="tuples"),
+            parallel=False,
+        ).run()
+        assert engine.fused_instructions > 0
+        assert got.to_state() == ref.to_state()
+        assert store.load_kernels(module, cost_sig) == engine._program.to_state()
 
 
     def test_schema_4_table_is_relowered_and_overwritten(self, tmp_path):

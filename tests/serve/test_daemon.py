@@ -32,7 +32,8 @@ from repro.serve.protocol import (
 )
 from repro.workloads.base import unknown_workload_error
 
-#: The figure-10 bar sample the serve-smoke CI job pins.
+#: The figure-10 bar sample (tests/smoke/test_serve_smoke.py pins the
+#: same bars against a real ``repro serve`` process).
 FIG10_BARS = ("U", "P", "H", "C", "B")
 
 

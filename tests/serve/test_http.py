@@ -7,6 +7,7 @@ import pytest
 
 from repro.serve import http as http_mod
 from repro.serve.protocol import JobRequest, ProtocolError
+from repro.tlssim.config import MACHINE_FIELDS, override_error
 
 
 def _parse(raw: bytes):
@@ -156,21 +157,28 @@ def test_job_request_default_has_no_overrides():
 
 
 @pytest.mark.parametrize(
-    "payload,match",
+    "payload,message",
     [
-        ({"workload": "go", "machine": [1, 2]}, "machine"),
-        ({"workload": "go", "machine": {"nope": 1}}, "machine"),
-        ({"workload": "go", "machine": {"num_cores": "four"}}, "machine"),
+        ({"workload": "go", "machine": [1, 2]},
+         "'machine' must be a JSON object"),
+        ({"workload": "go", "machine": {"nope": 1}},
+         override_error("nope", 1, MACHINE_FIELDS)),
+        ({"workload": "go", "machine": {"num_cores": "four"}},
+         override_error("num_cores", "four")),
         ({"workload": "go", "machine": {"num_cores": 0}},
-         "invalid machine config"),
+         override_error("num_cores", 0)),
         ({"workload": "go", "machine": {"signal_buffer_entries": 0}},
-         "invalid machine config"),
-        ({"workload": "go", "predictor": "nope"}, "predictor"),
+         override_error("signal_buffer_entries", 0)),
+        ({"workload": "go", "predictor": "nope"},
+         override_error("predictor", "nope")),
     ],
+    ids=["not-an-object", "unknown-field", "not-a-number", "num-cores",
+         "signal-buffer", "predictor"],
 )
-def test_job_request_rejects_bad_overrides(payload, match):
-    with pytest.raises(ProtocolError, match=match):
+def test_job_request_rejects_bad_overrides(payload, message):
+    with pytest.raises(ProtocolError) as caught:
         JobRequest.from_dict(payload)
+    assert message and str(caught.value) == message
 
 
 def test_served_override_matches_direct_simulation():

@@ -18,7 +18,6 @@ from repro.tlssim.stats import (
     SimResult,
     SlotBreakdown,
     normalized_attribution,
-    strict_accounting,
 )
 from repro.workloads import all_workloads
 
@@ -102,39 +101,21 @@ def test_counters_carry_attribution_gauges():
 
 
 class TestStrictAccounting:
-    def test_negative_remainder_clamped_silently_by_default(self):
+    def test_strict_mode_warns_on_imbalance(self):
         slots = SlotBreakdown(busy=60.0, fail=30.0, sync=30.0, total=100.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert slots.other == 0.0
+        with pytest.warns(AccountingWarning):
+            assert slots.other == 0.0  # clamped for rendering
         assert slots.unattributed == -20.0
         assert slots.imbalance == 20.0
 
-    def test_strict_mode_warns_on_imbalance(self):
-        previous = strict_accounting(True)
-        try:
-            slots = SlotBreakdown(
-                busy=60.0, fail=30.0, sync=30.0, total=100.0
-            )
-            with pytest.warns(AccountingWarning):
-                assert slots.other == 0.0
-        finally:
-            strict_accounting(previous)
-
     def test_strict_mode_silent_when_balanced(self):
-        previous = strict_accounting(True)
-        try:
-            slots = SlotBreakdown(
-                busy=40.0, fail=30.0, sync=20.0, total=100.0
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert slots.other == 10.0
-            assert slots.imbalance == 0.0
-        finally:
-            strict_accounting(previous)
+        slots = SlotBreakdown(busy=40.0, fail=30.0, sync=20.0, total=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert slots.other == 10.0
+        assert slots.imbalance == 0.0
 
-    def test_strict_accounting_returns_previous_setting(self):
-        assert strict_accounting(True) is False
-        assert strict_accounting(False) is True
-        assert strict_accounting(False) is False
+    def test_suite_turns_the_warning_into_an_error(self):
+        slots = SlotBreakdown(busy=60.0, fail=30.0, sync=30.0, total=100.0)
+        with pytest.raises(AccountingWarning):
+            slots.other

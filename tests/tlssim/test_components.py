@@ -8,7 +8,9 @@ from repro.tlssim.config import TABLE1, SimConfig
 from repro.tlssim.forwarding import ChannelBank, SignalAddressBuffer
 from repro.tlssim.hwsync import ViolatingLoadTable
 from repro.tlssim.prediction import LastValuePredictor
-from repro.tlssim.stats import SimResult, SlotBreakdown, normalized_region_time, RegionStats
+from repro.tlssim.stats import (
+    AccountingWarning, SimResult, SlotBreakdown, normalized_region_time, RegionStats,
+)
 
 
 class TestLRUCache:
@@ -250,7 +252,8 @@ class TestStats:
 
     def test_other_never_negative(self):
         slots = SlotBreakdown(busy=40, fail=0, sync=0, total=30)
-        assert slots.other == 0
+        with pytest.warns(AccountingWarning):
+            assert slots.other == 0
 
     def test_normalized_segments_sum_to_scale(self):
         slots = SlotBreakdown(busy=10, fail=20, sync=5, total=50)
