@@ -26,7 +26,7 @@ Commands
 ``cache``
     Manage the persistent store (``info`` / ``clear``): simulation
     results and compiled artifacts share one root; ``clear --only
-    results|artifacts|kernels`` scopes the wipe.
+    results|artifacts`` scopes the wipe.
 ``serve``
     Run the simulation-as-a-service daemon: an HTTP/JSON API backed by
     persistent warm workers (compiled artifacts and decoded programs
@@ -282,13 +282,10 @@ def _cmd_cache(args) -> int:
         elif only == "artifacts":
             removed = store.clear(kinds=artifacts_mod.ARTIFACT_KINDS)
             print(f"removed {removed} artifact(s) from {store.root}")
-        elif only == "kernels":
-            removed = store.clear(kinds=(artifacts_mod.KIND_KERNEL,))
-            print(f"removed {removed} kernel artifact(s) from {store.root}")
         return 0
     info = store.info()
     print(f"root    : {info['root']}")
-    for name in ("results", "compiled", "oracles", "kernels", "entries"):
+    for name in ("results", "compiled", "oracles", "entries"):
         print(f"{name:<8}: {info[name]}")
     print(f"size    : {info['bytes']} bytes")
     return 0
@@ -784,11 +781,10 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser.add_argument("--cache-dir", default=None)
     cache_parser.add_argument(
         "--only",
-        choices=("all", "results", "artifacts", "kernels"),
+        choices=("all", "results", "artifacts"),
         default="all",
         help="scope for clear: simulation results, compiled artifacts "
-        "(every kind), only codegen'd kernel tables, or everything "
-        "(default)",
+        "(compiled programs and value oracles), or everything (default)",
     )
     cache_parser.set_defaults(func=_cmd_cache)
 

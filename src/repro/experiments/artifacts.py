@@ -1,15 +1,14 @@
 """The persistent store: simulation results and compiled artifacts.
 
 Compilation and simulation are deterministic, so every compiled
-workload, value oracle, kernel table and simulation result is a pure
-function of the source tree and its inputs.  This store memoizes all
-of them *across processes and runs*: a workload is compiled once per
-machine, ever, and a warm ``repro report`` neither compiles nor
-simulates.
+workload, value oracle and simulation result is a pure function of
+the source tree and its inputs.  This store memoizes all of them
+*across processes and runs*: a workload is compiled once per machine,
+ever, and a warm ``repro report`` neither compiles nor simulates.
 
 Layout: one JSON file per entry, ``<root>/<key[:2]>/<key>.<kind>.json``
 where ``kind`` is ``result`` (simulation results and profile
-summaries), ``compiled``, ``oracle`` or ``kernel``.  The root is
+summaries), ``compiled`` or ``oracle``.  The root is
 ``.repro_cache/`` unless ``--cache-dir`` or ``REPRO_CACHE_DIR`` says
 otherwise; anything else under it (flight-recorder dumps, pstats
 profiles) is not an entry and ``repro cache`` leaves it alone.
@@ -25,8 +24,9 @@ Keys are content hashes that embed a per-kind source fingerprint:
 Writes are atomic (temp file + ``os.replace``); a failed write (full
 disk, read-only root) is logged and dropped, since the caller already
 holds the value.  Reads are corruption-tolerant: a truncated or
-garbage entry, or one whose payload bytes no longer match the sha256
-recorded beside them, is unlinked and treated as a miss, and an entry
+garbage entry, one whose payload bytes no longer match the sha256
+recorded beside them, or one whose payload the caller's decoder
+rejects, is unlinked and treated as a miss, and an entry
 whose embedded fingerprint does not match the running code is ignored.
 Both bump a counter (surfaced via run metrics and the process metrics
 registry) and fall back to recomputation; they never crash.
@@ -44,10 +44,9 @@ import hashlib
 import json
 import os
 import re
-import sys
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Sequence
 
 from repro.obs import log as log_mod
 from repro.obs.registry import process_registry
@@ -67,8 +66,7 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 KIND_RESULT = "result"
 KIND_COMPILED = "compiled"
 KIND_ORACLE = "oracle"
-KIND_KERNEL = "kernel"
-ARTIFACT_KINDS = (KIND_COMPILED, KIND_ORACLE, KIND_KERNEL)
+ARTIFACT_KINDS = (KIND_COMPILED, KIND_ORACLE)
 KINDS = (KIND_RESULT,) + ARTIFACT_KINDS
 
 
@@ -191,17 +189,17 @@ class ArtifactStore:
     def _path(self, key: str, kind: str) -> Path:
         return self.root / key[:2] / f"{key}.{kind}.json"
 
-    def _drop(self, path: Path) -> None:
-        """Count a corrupt entry and unlink it so it is recomputed."""
-        _bump("corrupt")
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
     # -- raw entries ---------------------------------------------------
-    def get(self, key: str, kind: str = KIND_RESULT):
-        """The stored payload; None on miss, corruption, or mismatch."""
+    def get(
+        self, key: str, kind: str = KIND_RESULT,
+        decode: Optional[Callable] = None,
+    ):
+        """The stored payload, passed through ``decode`` when given;
+        None on miss, corruption, or mismatch.
+
+        A payload that ``decode`` raises on is dropped and counted
+        ``corrupt``, as a digest mismatch is.
+        """
         path = self._path(key, kind)
         try:
             data = path.read_bytes()
@@ -218,11 +216,18 @@ class ArtifactStore:
             body = data[data.index(_PAYLOAD_KEY) + len(_PAYLOAD_KEY):-1]
             if hashlib.sha256(body).hexdigest() != entry["sha256"]:
                 raise ValueError("payload does not match its digest")
-            return entry["payload"]
+            payload = entry["payload"]
+            return payload if decode is None else decode(payload)
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            self._drop(path)
+        except (OSError, ValueError, KeyError, IndexError, TypeError,
+                AttributeError):
+            # Corrupt: count it and unlink it so it is recomputed.
+            _bump("corrupt")
+            try:
+                path.unlink()
+            except OSError:
+                pass
             return None
 
     def put(self, key: str, payload, kind: str = KIND_RESULT) -> None:
@@ -280,18 +285,11 @@ class ArtifactStore:
         """The stored compiled workload, or None (counts hit/miss)."""
         from repro.experiments import payloads
 
-        key = self.compiled_key(workload, threshold)
-        payload = self.get(key, KIND_COMPILED)
-        if payload is None:
-            _bump("misses")
-            return None
-        try:
-            compiled = payloads.compiled_from_state(payload)
-        except payloads.SerializeError:
-            self._drop(self._path(key, KIND_COMPILED))
-            _bump("misses")
-            return None
-        _bump("hits")
+        compiled = self.get(
+            self.compiled_key(workload, threshold), KIND_COMPILED,
+            payloads.compiled_from_state,
+        )
+        _bump("misses" if compiled is None else "hits")
         return compiled
 
     def save_compiled(
@@ -311,18 +309,11 @@ class ArtifactStore:
         """The stored value oracle, or None (counts hit/miss)."""
         from repro.experiments import payloads
 
-        key = self.oracle_key(workload, threshold, program_attr)
-        payload = self.get(key, KIND_ORACLE)
-        if payload is None:
-            _bump("misses")
-            return None
-        try:
-            oracle = payloads.oracle_from_state(payload)
-        except payloads.SerializeError:
-            self._drop(self._path(key, KIND_ORACLE))
-            _bump("misses")
-            return None
-        _bump("hits")
+        oracle = self.get(
+            self.oracle_key(workload, threshold, program_attr), KIND_ORACLE,
+            payloads.oracle_from_state,
+        )
+        _bump("misses" if oracle is None else "hits")
         return oracle
 
     def save_oracle(
@@ -335,43 +326,6 @@ class ArtifactStore:
             payloads.oracle_to_state(oracle),
             KIND_ORACLE,
         )
-
-    def kernel_key(self, module, cost_sig) -> str:
-        """Key for a codegen'd kernel table (extended region sources).
-
-        Keyed on the exact module content × engine cost signature ×
-        codegen schema version: kernel source embeds clock constants
-        derived from the cost model, and any change to the emitter's
-        ABI or templates must invalidate every stored kernel.
-        """
-        from repro.ir import codegen
-        from repro.ir.serialize import module_content_hash
-
-        return artifact_key(
-            KIND_KERNEL, module.name, 0.0, "", "",
-            extra={
-                "module": module_content_hash(module),
-                "cost": list(cost_sig),
-                "codegen": codegen.CODEGEN_SCHEMA_VERSION,
-            },
-        )
-
-    def load_kernels(self, module, cost_sig) -> Optional[Dict]:
-        """Stored extended-region state (kernel sources), or None.
-
-        Returns the raw state dict; revalidation against the decoded
-        program and recompilation of the persisted sources happen in
-        ``repro.ir.lower.LoweredProgram.from_state``.
-        """
-        payload = self.get(self.kernel_key(module, cost_sig), KIND_KERNEL)
-        if payload is None:
-            _bump("misses")
-            return None
-        _bump("hits")
-        return payload
-
-    def save_kernels(self, module, cost_sig, state: Dict) -> None:
-        self.put(self.kernel_key(module, cost_sig), state, KIND_KERNEL)
 
     # -- management ----------------------------------------------------
     def _entries(self, root: Optional[Path] = None) -> Iterator[Path]:
@@ -404,7 +358,6 @@ class ArtifactStore:
             "results": counts[KIND_RESULT],
             "compiled": counts[KIND_COMPILED],
             "oracles": counts[KIND_ORACLE],
-            "kernels": counts[KIND_KERNEL],
             "entries": sum(counts.values()),
             "bytes": size,
         }
@@ -454,31 +407,7 @@ def configure(enabled: bool, root: Optional[str] = None) -> Optional[ArtifactSto
     """
     global _active
     _active = ArtifactStore(root) if enabled else None
-    if "repro.ir.lower" in sys.modules:
-        install_kernel_persistence()
     return _active
-
-
-def install_kernel_persistence() -> None:
-    """Point repro.ir.lower's persistence seam at the active store.
-
-    With the store off, lowering still works — region tables are just
-    rebuilt per process instead of loaded.
-
-    The seam stores *kernel* artifacts (KIND_KERNEL: region tables
-    with generated sources, keyed by module content × cost signature ×
-    codegen schema version).  This loads lowering, so :func:`configure`
-    only re-points a seam already loaded, and
-    :func:`repro.experiments.runner.load_compute_stack` installs it on
-    the paths that compute.
-    """
-    from repro.ir import lower
-
-    store = _active
-    if store is None:
-        lower.set_persistence(None, None)
-    else:
-        lower.set_persistence(store.load_kernels, store.save_kernels)
 
 
 def active_store() -> Optional[ArtifactStore]:

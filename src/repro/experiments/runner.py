@@ -69,8 +69,7 @@ PROFILE_SET_THRESHOLDS = (0.25, 0.15, 0.05)
 
 
 def load_compute_stack() -> None:
-    """Import the compiler, the engine and the oracle collector; with a
-    store active, also lowering, its kernel persistence pointed there.
+    """Import the compiler, the engine and the oracle collector.
 
     A bundle calls this before it first needs its programs and before
     each simulation it runs; :func:`execute_plan` and the serve pools
@@ -80,9 +79,6 @@ def load_compute_stack() -> None:
     import repro.compiler.pipeline  # noqa: F401
     import repro.tlssim.engine  # noqa: F401
     import repro.tlssim.oracle  # noqa: F401
-
-    if artifacts_mod.active_store() is not None:
-        artifacts_mod.install_kernel_persistence()
 
 
 def config_for(bar: str, base: Optional[SimConfig] = None) -> SimConfig:
@@ -236,13 +232,12 @@ class WorkloadBundle:
         if result is not None:
             return result, metrics_mod.SOURCE_MEMO
         store = artifacts_mod.active_store()
-        payload = store.get(self._disk_key(key)) if store is not None else None
-        if payload is not None:
-            try:
-                result = SimResult.from_state(payload)
+        if store is not None:
+            result = store.get(
+                self._disk_key(key), decode=SimResult.from_state
+            )
+            if result is not None:
                 self._sims[key] = result
-            except (KeyError, TypeError):
-                pass
         return result, metrics_mod.SOURCE_CACHE
 
     def _simulate(self, kind: str, label: str, key: SimKey) -> Tuple[SimResult, str]:
@@ -306,27 +301,32 @@ class WorkloadBundle:
         served from memory or the persistent cache so that Figures 6
         and 7 can render on a warm cache without recompiling.
         """
-        if self._profile_summary is not None:
+        if self._profile_summary is not None or self._stored_profile_summary():
             return self._profile_summary
-        store = artifacts_mod.active_store()
-        disk_key = _profile_key(self.workload.name, self.threshold)
-        if store is not None:
-            payload = store.get(disk_key)
-            if payload is not None:
-                self._profile_summary = payload
-                metrics_mod.current().record(
-                    self.workload.name,
-                    "profile",
-                    "profile",
-                    metrics_mod.SOURCE_CACHE,
-                    0.0,
-                )
-                return payload
         summary = self._compute_profile_summary()
         self._profile_summary = summary
+        store = artifacts_mod.active_store()
         if store is not None:
-            store.put(disk_key, summary)
+            store.put(_profile_key(self.workload.name, self.threshold), summary)
         return summary
+
+    def _stored_profile_summary(self) -> bool:
+        """Seed the summary from the store; False when it has none."""
+        store = artifacts_mod.active_store()
+        if store is None:
+            return False
+        summary = store.get(
+            _profile_key(self.workload.name, self.threshold),
+            decode=_profile_from_state,
+        )
+        if summary is None:
+            return False
+        self._profile_summary = summary
+        metrics_mod.current().record(
+            self.workload.name, "profile", "profile",
+            metrics_mod.SOURCE_CACHE, 0.0,
+        )
+        return True
 
     def _compute_profile_summary(self) -> Dict:
         load_sets: Dict[str, List[int]] = {}
@@ -386,6 +386,14 @@ def _profile_key(workload: str, threshold: float) -> str:
     return cache_mod.result_key(
         workload, threshold, "profile", "profile", "", None
     )
+
+
+def _profile_from_state(payload: Dict) -> Dict:
+    """A stored profile summary, checked for shape (raises if wrong)."""
+    if not all(isinstance(payload[name], dict)
+               for name in ("load_sets", "distance_hist")):
+        raise TypeError("not a profile summary")
+    return payload
 
 
 _BUNDLES: Dict[str, WorkloadBundle] = {}
@@ -472,19 +480,10 @@ def _try_resolve_from_cache(spec: JobSpec, bundle: WorkloadBundle) -> bool:
     from every cache level is reported as a miss.
     """
     if spec.kind == "profile":
-        if bundle._profile_summary is not None:
-            return True
-        store = artifacts_mod.active_store()
-        if store is None:
-            return False
-        payload = store.get(_profile_key(spec.workload, spec.threshold))
-        if payload is None:
-            return False
-        bundle._profile_summary = payload
-        metrics_mod.current().record(
-            spec.workload, "profile", "profile", metrics_mod.SOURCE_CACHE, 0.0
+        return (
+            bundle._profile_summary is not None
+            or bundle._stored_profile_summary()
         )
-        return True
     if spec.kind == "fig06" and bundle._profile_summary is None:
         if not _try_resolve_from_cache(
             JobSpec(workload=spec.workload, kind="profile", label="profile",

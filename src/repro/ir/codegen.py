@@ -80,18 +80,6 @@ from repro.ir.decode import (
 )
 from repro.ir.evalops import BINOP_FUNCS, UNOP_FUNCS
 
-#: Bump when the generated-kernel ABI, source shape or dispatch layout
-#: changes: enters every persisted-kernel artifact key, so stale kernel
-#: sources can never be loaded into a newer engine.
-#: (2: wait/signal/check fusion + suffix kernels at resume points.
-#:  3: epoch kernels end at their first signal; suffix regions have no
-#:     ``_seq`` body.
-#:  4: suffix kernels cover one segment; three or more register
-#:     write-backs go out as one ``regs.update``; no null check on a
-#:     nonzero constant address.)
-CODEGEN_SCHEMA_VERSION = 4
-
-
 class CodegenError(Exception):
     """An op the emitter cannot lower (internal invariant)."""
 

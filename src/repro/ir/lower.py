@@ -67,9 +67,10 @@ Lowering rules
   while parks and faults resume *inside* a region at an ordinary tuple
   op (or at the suffix kernel planted there).
 
-The per-region :class:`ExtRegion` records keep the register-delta
-footprint (live-ins read, live-outs written), the generated source and
-fold statistics — used for artifact persistence.
+The per-region :class:`ExtRegion` records keep the path, the live-in
+registers and the generated source.  Lowered programs live only in a
+per-module, in-process memo (:func:`lowered_for`); nothing is stored
+across processes.
 """
 
 from __future__ import annotations
@@ -88,17 +89,6 @@ from repro.ir.decode import (
     DecodedProgram,
 )
 
-#: Bump when the generated-kernel ABI or state layout changes.
-#: (2: extended superblock regions + codegen'd kernel persistence.
-#:  3: wait/signal/check fusion + suffix kernels at resume points.
-#:  4: one region family — straight pure runs lower to one-span
-#:     extended kernels; tables holding classic entries relower.
-#:  5: epoch kernels end at their first signal; suffix regions carry
-#:     no ``_seq`` body (``ExtRegion.has_seq``).
-#:  6: a suffix region is one segment, ending before its next site;
-#:     long-tail tables still validate, so the bump forces a relower.)
-LOWER_SCHEMA_VERSION = 6
-
 #: Shortest run worth fusing: a superop costs one dispatch plus one
 #: kernel call, which beats per-op dispatch from two ops up (measured;
 #: even a two-op kernel skips two full trips around the turn loop).
@@ -109,14 +99,6 @@ MIN_REGION_LEN = 2
 #: generated-source size; eight covers every hot loop body in the
 #: workload suite.
 MAX_SPANS = 8
-
-#: Valid ``SimConfig.backend`` values (referenced by config validation).
-BACKENDS = ("tuples", "vector")
-
-
-class LowerError(Exception):
-    """A region the lowering pass cannot handle (internal invariant)."""
-
 
 #: Region breakers: frame churn and an epoch-path error.
 _BREAKER_OPCODES = frozenset((OP_CALL, OP_RET, OP_ALLOC))
@@ -166,17 +148,13 @@ class ExtRegion:
     suffix regions, whose source holds no ``_seq`` kernel.
     """
 
-    __slots__ = ("spans", "length", "live_ins", "live_outs", "folded",
-                 "name", "source", "has_seq")
+    __slots__ = ("spans", "length", "live_ins", "name", "source", "has_seq")
 
     def __init__(self, spans: List[Tuple[str, int, int]], length: int,
-                 live_ins: List[str], live_outs: List[str], folded: int,
-                 name: str, source: str, has_seq: bool):
+                 live_ins: List[str], name: str, source: str, has_seq: bool):
         self.spans = spans
         self.length = length
         self.live_ins = live_ins
-        self.live_outs = live_outs
-        self.folded = folded
         self.name = name
         self.source = source
         self.has_seq = has_seq
@@ -184,35 +162,6 @@ class ExtRegion:
     @property
     def start(self) -> int:
         return self.spans[0][1]
-
-    def to_state(self) -> Dict:
-        return {
-            "kind": "ext",
-            "spans": [[label, start, end] for label, start, end in self.spans],
-            "n": self.length,
-            "live_ins": list(self.live_ins),
-            "live_outs": list(self.live_outs),
-            "folded": self.folded,
-            "name": self.name,
-            "source": self.source,
-            "seq": self.has_seq,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "ExtRegion":
-        return cls(
-            spans=[
-                (span[0], int(span[1]), int(span[2]))
-                for span in state["spans"]
-            ],
-            length=state["n"],
-            live_ins=list(state["live_ins"]),
-            live_outs=list(state["live_outs"]),
-            folded=state["folded"],
-            name=state["name"],
-            source=state["source"],
-            has_seq=bool(state["seq"]),
-        )
 
 
 def _ext_superop(blocks: Dict[str, object], region: ExtRegion,
@@ -372,45 +321,6 @@ def _suffix_spans(
     return [chosen[key] for key in sorted(chosen)]
 
 
-def _validate_ext_region(dfunc, fname: str, label: str,
-                         region: ExtRegion) -> None:
-    """Reject a stored extended region that no longer fits the program."""
-    blocks = dfunc.blocks
-
-    def bad() -> LowerError:
-        return LowerError(
-            f"stored region {fname}:{label}@{region.start} "
-            f"does not match the decoded program"
-        )
-
-    if not region.spans or region.spans[0][0] != label:
-        raise bad()
-    total = 0
-    for index, (slabel, start, end) in enumerate(region.spans):
-        dblock = blocks.get(slabel)
-        if dblock is None or not (0 <= start < end <= len(dblock.ops)):
-            raise bad()
-        span_ops = dblock.ops[start:end]
-        if any(not _fusible_op(op) for op in span_ops):
-            raise bad()
-        total += end - start
-        if index + 1 < len(region.spans):
-            nxt_label, nxt_start, _ = region.spans[index + 1]
-            term = span_ops[-1]
-            if end != len(dblock.ops) or nxt_start != 0:
-                raise bad()
-            if term[0] == OP_JUMP:
-                linked = term[3] == nxt_label
-            elif term[0] == OP_CONDBR:
-                linked = nxt_label in (term[4], term[5])
-            else:
-                linked = False
-            if not linked:
-                raise bad()
-    if total != region.length:
-        raise bad()
-
-
 # ---------------------------------------------------------------------------
 # lowered program containers
 # ---------------------------------------------------------------------------
@@ -490,7 +400,8 @@ class LoweredProgram:
         return lowered.blocks[label]
 
     def lower_all(self) -> "LoweredProgram":
-        """Eagerly lower every function (persistence needs the lot)."""
+        """Eagerly lower every function, so engine construction pays
+        for every kernel and a run compiles none."""
         for name in self.module.functions:
             self.function(name)
         return self
@@ -541,8 +452,7 @@ class LoweredProgram:
             by_label.setdefault(spans[0][0], []).append(
                 ExtRegion(
                     spans=spans, length=spec.length,
-                    live_ins=spec.live_ins, live_outs=spec.live_outs,
-                    folded=spec.folded, name=kname, source=spec.source,
+                    live_ins=spec.live_ins, name=kname, source=spec.source,
                     has_seq=has_seq,
                 )
             )
@@ -551,56 +461,8 @@ class LoweredProgram:
             blocks[label] = _lowered_block(decoded, name, label, regions)
         return LoweredFunction(blocks)
 
-    # -- persistence ---------------------------------------------------
-
-    def to_state(self) -> Dict:
-        """JSON-able region tables (generated sources + metadata)."""
-        functions: Dict[str, Dict] = {}
-        for name, function in self._functions.items():
-            labels = {}
-            for label, block in function.blocks.items():
-                regions = block_regions(block)
-                if regions:
-                    labels[label] = [r.to_state() for r in regions]
-            if labels:
-                functions[name] = labels
-        return {
-            "version": LOWER_SCHEMA_VERSION,
-            "issue_width": self.issue_width,
-            "functions": functions,
-        }
-
-    @classmethod
-    def from_state(cls, decoded: DecodedProgram, state: Dict) -> "LoweredProgram":
-        """Rebuild from stored region tables (skips re-analysis).
-
-        Stored sources are re-compiled against the *current* decoded
-        ops; a region whose recorded spans no longer match fusible
-        opcodes raises ``LowerError`` so callers can fall back to a
-        fresh lowering.
-        """
-        if state.get("version") != LOWER_SCHEMA_VERSION:
-            raise LowerError(
-                f"lowered-state version {state.get('version')!r} != "
-                f"{LOWER_SCHEMA_VERSION}"
-            )
-        program = cls(decoded, issue_width=int(state.get("issue_width", 1)))
-        for name, labels in state["functions"].items():
-            dfunc = decoded.function(name)
-            blocks: Dict[str, object] = dict(dfunc.blocks)
-            for label, region_states in labels.items():
-                regions = [ExtRegion.from_state(r) for r in region_states]
-                for region in regions:
-                    _validate_ext_region(dfunc, name, label, region)
-                blocks[label] = _lowered_block(dfunc, name, label, regions)
-            program._functions[name] = LoweredFunction(blocks)
-        # Functions without any fusible region were not persisted:
-        # lower them lazily (cheap: segmentation finds nothing).
-        return program
-
-
 # ---------------------------------------------------------------------------
-# backend gate + per-module memo + persistence seam
+# backend gate + per-module memo
 # ---------------------------------------------------------------------------
 
 #: SimConfig fields whose values enter every clock sum; all must be
@@ -614,7 +476,7 @@ _COST_FIELDS = (
 
 
 def cost_signature(config) -> Tuple:
-    """The config fields lowering depends on (also the artifact key)."""
+    """The config fields lowering depends on (also the memo key)."""
     return tuple(float(getattr(config, name)) for name in _COST_FIELDS)
 
 
@@ -650,16 +512,6 @@ def unavailable_reason(config) -> Optional[str]:
 #: Module attribute holding ``(token, {cost_sig: program})``.
 _MODULE_CACHE_ATTR = "_repro_lowered_cache"
 
-#: Installed by repro.experiments.artifacts: (load, save) callables
-#: keyed on (module, cost_sig) — see artifacts.install_kernel_persistence().
-_persistence: Optional[Tuple[Callable, Callable]] = None
-
-
-def set_persistence(load: Optional[Callable], save: Optional[Callable]) -> None:
-    """Install (or clear) the lowered-region artifact-store hooks."""
-    global _persistence
-    _persistence = (load, save) if load is not None else None
-
 
 def _module_token(module) -> Tuple[int, int]:
     """Cheap content token invalidating the memo on module mutation."""
@@ -674,21 +526,18 @@ def _module_token(module) -> Tuple[int, int]:
 
 
 def lowered_for(decoded: DecodedProgram, config) -> Optional[LoweredProgram]:
-    """The (memoized, persisted) lowered program for an engine.
+    """The (memoized) lowered program for an engine.
 
     Returns None when the cost model fails the exactness gate — callers
-    fall back to the tuple path.  Hits come from, in order: the
-    per-module in-process memo (validated by a content token, since
-    compiler passes may mutate modules in place), then the artifact
-    store via the installed persistence hooks; misses lower eagerly and
-    persist.  A stored table that is stale, corrupt or written under
-    another :data:`LOWER_SCHEMA_VERSION` is relowered and overwritten.
+    fall back to the tuple path.  Hits come from the per-module
+    in-process memo, keyed by cost signature and validated by a content
+    token, since compiler passes may mutate modules in place; misses
+    lower eagerly.
     """
     if unavailable_reason(config) is not None:
         return None
     module = decoded.module
     cost_sig = cost_signature(config)
-    issue_width = int(config.issue_width)
     token = _module_token(module)
     cached = getattr(module, _MODULE_CACHE_ATTR, None)
     if cached is not None and cached[0] == token:
@@ -698,22 +547,9 @@ def lowered_for(decoded: DecodedProgram, config) -> Optional[LoweredProgram]:
     else:
         cached = (token, {})
         setattr(module, _MODULE_CACHE_ATTR, cached)
-    program = None
-    if _persistence is not None:
-        state = _persistence[0](module, cost_sig)
-        if state is not None:
-            try:
-                program = LoweredProgram.from_state(decoded, state)
-                if program.issue_width != issue_width:
-                    program = None
-                else:
-                    program.lower_all()
-            except (LowerError, KeyError, TypeError, AttributeError, SyntaxError):
-                program = None  # stale/corrupt entry: relower
-    if program is None:
-        program = LoweredProgram(decoded, issue_width=issue_width).lower_all()
-        if _persistence is not None:
-            _persistence[1](module, cost_sig, program.to_state())
+    program = LoweredProgram(
+        decoded, issue_width=int(config.issue_width)
+    ).lower_all()
     cached[1][cost_sig] = program
     return program
 

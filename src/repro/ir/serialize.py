@@ -230,23 +230,6 @@ def module_to_state(module: Module) -> Dict:
     }
 
 
-def module_content_hash(module: Module) -> str:
-    """Stable content hash of a module's serialized form.
-
-    The artifact store keys codegen'd kernel tables (vector backend)
-    on this: unlike the compiled-workload key,
-    a region table depends on the *exact* instruction stream of one
-    module, including iids.
-    """
-    import hashlib
-    import json
-
-    blob = json.dumps(
-        module_to_state(module), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def module_from_state(state: Dict) -> Module:
     """Inverse of :func:`module_to_state`, preserving iids and order."""
     try:

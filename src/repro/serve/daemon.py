@@ -121,9 +121,6 @@ class JobRecord:
     result_state: Optional[Dict] = None
     event_lines: Optional[List[str]] = None
     artifact_delta: Dict[str, int] = field(default_factory=dict)
-    #: kernel-compile accounting for the job (vector backend): a warm
-    #: worker must serve from the codegen memo, compiles == 0.
-    codegen_delta: Dict[str, int] = field(default_factory=dict)
     pipeline: List[Dict] = field(default_factory=list)
     #: the job's trace: finished spans (daemon- and worker-side).
     trace_id: str = ""
@@ -147,7 +144,6 @@ class JobRecord:
                 wall_s=self.wall_s,
                 worker_pid=self.worker_pid,
                 artifacts=dict(self.artifact_delta),
-                codegen=dict(self.codegen_delta),
                 pipeline=list(self.pipeline),
             )
             if self.profile is not None:
@@ -376,7 +372,6 @@ class Daemon:
         record.wall_s = outcome.get("wall_s", 0.0)
         record.worker_pid = outcome.get("pid", 0)
         record.artifact_delta = dict(outcome.get("artifact_delta", {}))
-        record.codegen_delta = dict(outcome.get("codegen_delta", {}))
         record.pipeline = list(outcome.get("pipeline", []))
         if outcome.get("ok"):
             record.state = DONE

@@ -109,11 +109,8 @@ def execute_request(
     (parented under the daemon's ``trace_ctx``), and — the per-job
     counter flush — the artifact-store counter delta this job caused.
     """
-    from repro.ir import codegen
-
     started = time.perf_counter()
     counters_before = artifacts_mod.counters()
-    codegen_before = codegen.compile_stats()
     metrics_mod.reset()
     recorder = flightrec.get()
     recorder.set_inflight(
@@ -137,11 +134,10 @@ def execute_request(
                         bundle = _warm_bundle(
                             request.workload, request.threshold
                         )
-                    # Non-default backends, machine-model overrides, and
-                    # predictor selection all ride in on the base config;
-                    # the memo/disk keys keep every distinct configuration
-                    # separate so each point's compute is accounted
-                    # honestly.
+                    # Machine-model overrides and predictor selection
+                    # ride in on the base config; the memo/disk keys
+                    # keep every distinct configuration separate so
+                    # each point's compute is accounted honestly.
                     overrides = request.config_overrides()
                     base = SimConfig(**overrides) if overrides else None
                     if request.profile:
@@ -221,7 +217,6 @@ def execute_request(
     finally:
         recorder.clear_inflight()
     counters_after = artifacts_mod.counters()
-    codegen_after = codegen.compile_stats()
     outcome.update(
         wall_s=time.perf_counter() - started,
         pid=os.getpid(),
@@ -229,17 +224,6 @@ def execute_request(
         artifact_delta={
             name: counters_after[name] - counters_before.get(name, 0)
             for name in counters_after
-        },
-        # Kernel-compile accounting: a warm worker serving a vector job
-        # must show compiles == 0 from the second request on (kernels
-        # come from the in-process memo or the KIND_KERNEL artifact).
-        codegen_delta={
-            "compiles": (
-                codegen_after["compiles"] - codegen_before["compiles"]
-            ),
-            "memo_hits": (
-                codegen_after["memo_hits"] - codegen_before["memo_hits"]
-            ),
         },
     )
     if profile_info is not None:
@@ -276,7 +260,7 @@ def _worker_main(
 ) -> None:
     """Process-worker entry point: serve batches until told to stop."""
     artifacts_mod.configure(cache_enabled, cache_root)
-    runner.load_compute_stack()  # kernel persistence, before any job
+    runner.load_compute_stack()  # loaded before the first job
     artifacts_mod.reset_counters()  # forked workers inherit parent counts
     metrics_mod.reset()
     log_mod.apply_state(log_state)

@@ -43,11 +43,6 @@ class JobRequest:
     event streams are produced by a live engine (never cached), so
     they cost a real simulation even when the result itself is warm.
 
-    ``backend`` selects the simulator execution backend (byte-identical
-    results either way; ``vector`` dispatches fused regions and falls
-    back to ``tuples`` when the machine's cost model is off the dyadic
-    grid the kernels need).
-
     ``machine`` carries per-job machine-model overrides — a JSON
     object mapping :data:`repro.tlssim.config.MACHINE_FIELDS` names
     (``num_cores``, ``issue_width``, ``forward_latency``, ...) to
@@ -69,7 +64,6 @@ class JobRequest:
     bar: str = "C"
     threshold: float = 0.05
     events: bool = False
-    backend: str = "tuples"
     machine: Tuple[Tuple[str, object], ...] = field(default=())
     predictor: Optional[str] = None
     profile: bool = False
@@ -85,7 +79,6 @@ class JobRequest:
             "bar": self.bar,
             "threshold": self.threshold,
             "events": self.events,
-            "backend": self.backend,
         }
         if self.machine:
             payload["machine"] = dict(self.machine)
@@ -100,8 +93,6 @@ class JobRequest:
         overrides: Dict = dict(self.machine)
         if self.predictor is not None:
             overrides["predictor"] = self.predictor
-        if self.backend != "tuples":
-            overrides["backend"] = self.backend
         return overrides
 
     @classmethod
@@ -109,8 +100,8 @@ class JobRequest:
         if not isinstance(payload, dict):
             raise ProtocolError("job request must be a JSON object")
         unknown = set(payload) - {
-            "workload", "bar", "threshold", "events", "backend",
-            "machine", "predictor", "profile",
+            "workload", "bar", "threshold", "events", "machine",
+            "predictor", "profile",
         }
         if unknown:
             raise ProtocolError(f"unknown field(s): {', '.join(sorted(unknown))}")
@@ -148,10 +139,8 @@ class JobRequest:
         }
         from repro.tlssim.config import MACHINE_FIELDS, override_error
 
-        backend = payload.get("backend", "tuples")
         predictor = payload.get("predictor")
         overrides = [(name, value, MACHINE_FIELDS) for name, value in machine.items()]
-        overrides.append(("backend", backend, None))
         if predictor is not None:
             overrides.append(("predictor", predictor, None))
         for name, value, known in overrides:
@@ -163,7 +152,6 @@ class JobRequest:
             bar=bar.upper(),
             threshold=float(threshold),
             events=events,
-            backend=backend,
             machine=tuple(sorted(machine.items())),
             predictor=predictor,
             profile=profile,

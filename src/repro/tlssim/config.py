@@ -50,6 +50,14 @@ def _is_power_of_two(value: int) -> bool:
     return value >= 1 and (value & (value - 1)) == 0
 
 
+#: MachineConfig fields that count cores, lines, words or entries:
+#: whole numbers only.
+_COUNT_FIELDS = (
+    "num_cores", "reorder_buffer", "words_per_line", "l1_lines",
+    "l2_lines", "signal_buffer_entries",
+)
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """The simulated machine, validated (paper Table 1 as defaults).
@@ -91,6 +99,10 @@ class MachineConfig:
     signal_buffer_entries: int = 10  # signal address buffer capacity
 
     def __post_init__(self):
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer (got {value!r})")
         if not 1 <= self.num_cores <= MAX_CORES:
             raise ValueError(
                 f"num_cores must be between 1 and {MAX_CORES} "

@@ -24,7 +24,6 @@ from repro.experiments.runner import bundle_for, config_for, plan_bar_jobs
 from repro.ir.serialize import SerializeError, module_from_state, module_to_state
 from repro.obs import log as log_mod
 from repro.obs.bus import CollectorSink, EventBus
-from repro.tlssim.config import SimConfig
 from repro.tlssim.engine import TLSEngine
 from repro.tlssim.oracle import collect_oracle
 from repro.workloads import all_workloads, get_workload
@@ -184,11 +183,6 @@ class TestCorruptionTolerance:
         )
 
 
-def _vector_run_state():
-    program = bundle_for("go").compiled.baseline
-    return TLSEngine(program, config=SimConfig(backend="vector")).run().to_state()
-
-
 #: kind -> a computation that writes (and later reads) entries of it.
 _COMPUTE = {
     artifacts_mod.KIND_RESULT: lambda: bundle_for("go").simulate("U").to_state(),
@@ -198,7 +192,6 @@ _COMPUTE = {
     artifacts_mod.KIND_ORACLE: lambda: payloads.oracle_to_state(
         bundle_for("go").oracle_for("baseline")
     ),
-    artifacts_mod.KIND_KERNEL: _vector_run_state,
 }
 
 
@@ -219,6 +212,16 @@ def _wrong_type(path):
     entry = json.loads(path.read_text())
     entry["payload"] = "not a payload"
     path.write_text(json.dumps(entry))
+
+
+def _wrong_shape(path):
+    """Rewrite the entry through the store with a payload of the wrong
+    shape: its digest holds, as after a writer bug, so only decoding
+    can tell."""
+    key, kind, _ = path.name.split(".")
+    artifacts_mod.ArtifactStore(str(path.parent.parent)).put(
+        key, {"wrong": "shape"}, kind
+    )
 
 
 class TestStoreFaults:
@@ -244,7 +247,8 @@ class TestStoreFaults:
 
     @pytest.mark.parametrize("kind", artifacts_mod.KINDS)
     @pytest.mark.parametrize(
-        "damage", [_flip_digit, _wrong_type], ids=["flipped_digit", "wrong_type"]
+        "damage", [_flip_digit, _wrong_type, _wrong_shape],
+        ids=["flipped_digit", "wrong_type", "wrong_shape"],
     )
     def test_damaged_entry_recomputed(self, damage, kind, tmp_path, fresh_bundles):
         self._recomputed(kind, damage, tmp_path)
@@ -356,45 +360,23 @@ class TestStoreManagement:
         assert store.clear() == 2
         assert store.info()["entries"] == 0
 
-    def test_info_counts_lowered_artifacts(self, tmp_path):
-        """Lowered programs persist as kernel tables, one per machine."""
-        store = _store(tmp_path)
-        workload = get_workload("go")
-        compiled = bundle_for("go").compiled
-        store.save_compiled(workload, 0.05, compiled)
-        module = compiled.baseline
-        store.save_kernels(module, (4.0, 1.0), {"functions": {}})
-        store.save_kernels(module, (8.0, 1.0), {"functions": {}})
-        info = store.info()
-        assert info["kernels"] == 2
-        assert info["entries"] == 3  # compiled + 2 kernel tables
-
-    def test_clear_only_lowered(self, tmp_path):
-        """`repro cache clear --only kernels` drops the lowered-program
-        (kernel) tables and keeps compiled binaries."""
-        store = _store(tmp_path)
-        workload = get_workload("go")
-        compiled = bundle_for("go").compiled
-        store.save_compiled(workload, 0.05, compiled)
-        store.save_kernels(compiled.baseline, (4.0, 1.0), {"functions": {}})
-        removed = store.clear(kinds=(artifacts_mod.KIND_KERNEL,))
-        assert removed == 1
-        info = store.info()
-        assert info["kernels"] == 0 and info["compiled"] == 1
-
     def test_clear_removes_entries_of_retired_kinds(self, tmp_path, capsys):
-        """A plain `repro cache clear` still removes `.lowered.json`
-        region tables that older versions wrote."""
+        """A plain `repro cache clear` still removes the `.lowered.json`
+        and `.kernel.json` region tables that older versions wrote."""
         from repro.cli import main
 
         store = _store(tmp_path)
-        legacy = store.root / "ab" / ("ab" + "0" * 62 + ".lowered.json")
-        legacy.parent.mkdir(parents=True)
-        legacy.write_text("{}")
-        assert store.info()["entries"] == 0  # no longer a known kind
+        legacy = [
+            store.root / "ab" / ("ab" + "0" * 62 + f".{kind}.json")
+            for kind in ("lowered", "kernel")
+        ]
+        legacy[0].parent.mkdir(parents=True)
+        for path in legacy:
+            path.write_text("{}")
+        assert store.info()["entries"] == 0  # no longer known kinds
         assert main(["cache", "clear", "--cache-dir", str(store.root)]) == 0
-        assert "removed 1 artifact(s)" in capsys.readouterr().out
-        assert not legacy.exists()
+        assert "removed 2 artifact(s)" in capsys.readouterr().out
+        assert not any(path.exists() for path in legacy)
 
     def test_result_cache_ignores_artifacts(self, tmp_path):
         """Clearing only results must not touch compiled artifacts."""

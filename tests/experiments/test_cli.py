@@ -96,6 +96,19 @@ class TestCommands:
         )
         assert "Traceback" not in err
 
+    def test_cache_has_no_kernel_scope(self, tmp_path, capsys):
+        # Kernels are never stored: no `--only kernels`, no info row.
+        with pytest.raises(SystemExit) as caught:
+            main(["cache", "clear", "--only", "kernels",
+                  "--cache-dir", str(tmp_path)])
+        assert caught.value.code == 2
+        capsys.readouterr()
+        assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
+        rows = [line.split(":")[0].strip()
+                for line in capsys.readouterr().out.splitlines()]
+        assert rows == ["root", "results", "compiled", "oracles", "entries",
+                        "size"]
+
     def test_unknown_figure(self, capsys):
         assert main(["figure", "99", "--workloads", "go"]) == 1
 

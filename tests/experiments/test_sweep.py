@@ -59,6 +59,11 @@ class TestGridValidation:
         assert str(caught.value) == override_error("num_cores", 0)
         assert "num_cores must be between" in str(caught.value)
 
+    def test_fractional_count_axis_value(self):
+        with pytest.raises(GridError) as caught:
+            build_grid(["go"], ["U"], axes=[("num_cores", (2, 2.5))])
+        assert str(caught.value) == "num_cores must be an integer (got 2.5)"
+
     def test_special_axis_as_override(self):
         with pytest.raises(GridError, match="special axis"):
             build_grid(["go"], ["U"], axes=[("bar", ("U",))])

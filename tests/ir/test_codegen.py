@@ -103,12 +103,6 @@ class TestCompileLayer:
         codegen.clear_memo()
         assert codegen.compile_stats()["memo_size"] == 0
 
-    def test_schema_version_covers_second_generation(self):
-        # Version 2 introduced wait/signal/check fusion and suffix
-        # kernels; stored kernel artifacts key on this.
-        assert codegen.CODEGEN_SCHEMA_VERSION >= 2
-        assert lower.LOWER_SCHEMA_VERSION >= 3
-
 
 # ---------------------------------------------------------------------------
 # pure op soups: kernels vs a literal evalops walk and the slow oracle

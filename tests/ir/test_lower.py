@@ -1,5 +1,6 @@
 """Region lowering (vector backend): codegen identity, segmentation,
-fallback behaviour, persistence, and the backend selection surface.
+fallback behaviour, the in-process memo, and the backend selection
+surface.
 
 The contract under test is invisibility: the fused superops emitted by
 ``repro.ir.lower`` must be bit-identical to the per-tuple path — same
@@ -130,29 +131,6 @@ def _breaker_module():
     fb.add("c", "d", dest="e")
     fb.add("e", 1, dest="f")
     fb.ret("f")
-    return mb.build()
-
-
-def _arith_module(n=50):
-    """A loop whose body is one long fusible run (plus the backedge)."""
-    mb = ModuleBuilder("t")
-    fb = mb.function("main")
-    fb.block("entry")
-    fb.const(0, dest="i")
-    fb.const(0, dest="acc")
-    fb.jump("loop")
-    fb.block("loop")
-    fb.mul("i", 3, dest="a")
-    fb.add("a", 7, dest="b")
-    fb.div("b", 5, dest="q")
-    fb.mod("b", 5, dest="r")
-    fb.binop("xor", "q", "r", dest="x")
-    fb.add("acc", "x", dest="acc")
-    fb.add("i", 1, dest="i")
-    c = fb.binop("lt", "i", n)
-    fb.condbr(c, "loop", "done")
-    fb.block("done")
-    fb.ret("acc")
     return mb.build()
 
 
@@ -336,69 +314,24 @@ class TestBackendGate:
         assert fallback.to_state() == odd_ref.to_state()
 
 
-class TestPersistence:
-    def test_state_round_trip(self):
-        decoded = _decoded(_arith_module())
-        program = lower.LoweredProgram(decoded).lower_all()
-        state = program.to_state()
-        rebuilt = lower.LoweredProgram.from_state(decoded, state).lower_all()
-        original = [
-            (f, l, r.to_state()) for f, l, r in program.region_table()
-        ]
-        restored = [
-            (f, l, r.to_state()) for f, l, r in rebuilt.region_table()
-        ]
-        assert original and original == restored
+class TestLoweredMemo:
+    def test_second_engine_lowers_from_the_memo(self, monkeypatch):
+        # The per-module memo is the only home of a lowered program: a
+        # second vector engine on the same module must never re-run the
+        # lowering analysis or the codegen emitters.
+        module = _mem_loop_module()
+        config = SimConfig(backend="vector")
+        first_engine = TLSEngine(module, config=config, parallel=False)
+        first = first_engine.run()
+        assert first_engine.backend == "vector"
 
-    def test_rebuilt_program_executes_identically(self):
-        module = _arith_module()
-        engine = TLSEngine(
-            module, config=SimConfig(backend="vector"), parallel=False
-        )
-        state = lower.LoweredProgram(
-            engine._decoded, issue_width=int(engine.config.issue_width)
-        ).lower_all().to_state()
-        ref = TLSEngine(
-            module, config=SimConfig(backend="tuples"), parallel=False
-        ).run()
-        # Plant the rebuilt program so the run walks it.
-        engine._program = lower.LoweredProgram.from_state(
-            engine._decoded, state
-        ).lower_all()
-        got = engine.run()
-        assert got.to_state() == ref.to_state()
-        assert engine.fused_instructions > 0
+        def relowered(*args, **kwargs):
+            raise AssertionError("relowered instead of using the memo")
 
-    def test_version_mismatch_raises(self):
-        decoded = _decoded(_arith_module())
-        state = lower.LoweredProgram(decoded).lower_all().to_state()
-        state["version"] = 999
-        with pytest.raises(lower.LowerError, match="version"):
-            lower.LoweredProgram.from_state(decoded, state)
-
-    def test_stale_region_span_raises(self):
-        decoded = _decoded(_arith_module())
-        state = lower.LoweredProgram(decoded).lower_all().to_state()
-        (name, labels), = [
-            (n, ls) for n, ls in state["functions"].items() if ls
-        ]
-        label, regions = next(iter(labels.items()))
-        regions[0]["spans"][0][1] = len(decoded.block(name, label).ops) - 1
-        with pytest.raises(lower.LowerError, match="does not match"):
-            lower.LoweredProgram.from_state(decoded, state)
-
-    def test_artifact_store_round_trip(self, tmp_path):
-        from repro.experiments import artifacts as artifacts_mod
-
-        module = _arith_module()
-        decoded = _decoded(module)
-        state = lower.LoweredProgram(decoded).lower_all().to_state()
-        store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
-        cost_sig = (4.0, 1.0, 3.0)
-        assert store.load_kernels(module, cost_sig) is None
-        store.save_kernels(module, cost_sig, state)
-        assert store.load_kernels(module, cost_sig) == state
-        assert store.load_kernels(module, (2.0, 1.0, 3.0)) is None
+        monkeypatch.setattr(codegen, "generate_extended", relowered)
+        second_engine = TLSEngine(module, config=config, parallel=False)
+        assert second_engine._program is first_engine._program
+        assert second_engine.run().to_state() == first.to_state()
 
 
 class TestSuffixKernels:
@@ -434,40 +367,18 @@ class TestSuffixKernels:
         ]
         assert fused_at == sorted(starts)
 
-    def test_suffix_regions_survive_state_round_trip(self):
-        _, decoded, program = self._ext_program()
-        program.lower_all()
-        state = program.to_state()
-        rebuilt = lower.LoweredProgram.from_state(decoded, state).lower_all()
-        assert rebuilt.issue_width == 4
-        original = [
-            (f, l, r.to_state()) for f, l, r in program.region_table()
-        ]
-        restored = [
-            (f, l, r.to_state()) for f, l, r in rebuilt.region_table()
-        ]
-        assert any(r.get("kind") == "ext" for _, _, r in original)
-        assert original == restored
-
-    def test_round_trip_keeps_the_shared_sequential_slot(self):
-        _, decoded, program = self._ext_program()
-        rebuilt = lower.LoweredProgram.from_state(
-            decoded, program.lower_all().to_state()
-        ).lower_all()
+    def test_suffix_heads_share_the_sequential_slot(self):
+        _, _, program = self._ext_program()
         suffixes = 0
-        for built in (program, rebuilt):
-            for fname, label, region in built.region_table():
-                superop = built.block(fname, label).ops[region.start]
-                if region.has_seq:
-                    assert superop[4].__name__ == f"{region.name}_seq"
-                else:
-                    assert f"def {region.name}_seq(" not in region.source
-                    assert superop[4] is codegen.replay_seq
-                    suffixes += 1
-        assert suffixes >= 6  # three suffix heads in ``loop``, both sides
-        assert [
-            (f, l, r.has_seq) for f, l, r in program.region_table()
-        ] == [(f, l, r.has_seq) for f, l, r in rebuilt.region_table()]
+        for fname, label, region in program.lower_all().region_table():
+            superop = program.block(fname, label).ops[region.start]
+            if region.has_seq:
+                assert superop[4].__name__ == f"{region.name}_seq"
+            else:
+                assert f"def {region.name}_seq(" not in region.source
+                assert superop[4] is codegen.replay_seq
+                suffixes += 1
+        assert suffixes >= 3  # three suffix heads in ``loop``
 
     def test_step_limit_replay_through_suffix_heads_matches_oracle(self):
         # Every sequential step budget that runs out in the first three
@@ -663,209 +574,3 @@ class TestSuffixKernels:
         assert bails
         assert all(res[0] is None and res[4] == 3 and not res[5]
                    for res in bails)
-
-class TestKernelArtifacts:
-    def test_kernel_store_round_trip_without_relower(
-        self, tmp_path, monkeypatch
-    ):
-        # Acceptance criterion: a stored kernel table alone rebuilds
-        # the vector program — loading must never re-run the lowering
-        # analysis or the codegen emitters.
-        from repro.experiments import artifacts as artifacts_mod
-
-        module = _mem_loop_module()
-        store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
-        lower.set_persistence(store.load_kernels, store.save_kernels)
-        try:
-            ref = TLSEngine(
-                _mem_loop_module(),
-                config=SimConfig(backend="tuples"),
-                parallel=False,
-            ).run()
-            config = SimConfig(backend="vector")
-            first_engine = TLSEngine(module, config=config, parallel=False)
-            first = first_engine.run()
-            assert first_engine.backend == "vector"
-            assert first.to_state() == ref.to_state()
-            assert store.info()["kernels"] == 1
-
-            # Drop the in-process memo and forbid relowering: the
-            # second engine must come up entirely from the store.
-            delattr(module, lower._MODULE_CACHE_ATTR)
-
-            def relowered(*args, **kwargs):
-                raise AssertionError("relowered instead of loading kernels")
-
-            monkeypatch.setattr(codegen, "generate_extended", relowered)
-            second_engine = TLSEngine(module, config=config, parallel=False)
-            second = second_engine.run()
-            assert second_engine.backend == "vector"
-            assert second.to_state() == first.to_state()
-        finally:
-            lower.set_persistence(None, None)
-
-    def test_old_schema_table_is_relowered_and_repersisted(self, tmp_path):
-        # A table stored under the previous LOWER_SCHEMA_VERSION must
-        # never be executed: its kernels here would raise if they ran.
-        from repro.experiments import artifacts as artifacts_mod
-
-        module = _mem_loop_module()
-        config = SimConfig(backend="vector")
-        cost_sig = lower.cost_signature(config)
-        stale = lower.LoweredProgram(
-            _decoded(module), issue_width=int(config.issue_width)
-        ).lower_all().to_state()
-        stale["version"] = lower.LOWER_SCHEMA_VERSION - 1
-        for labels in stale["functions"].values():
-            for regions in labels.values():
-                for region in regions:
-                    name = region["name"]
-                    region["source"] = (
-                        f"def {name}_epoch(*args):\n    return 1 // 0\n"
-                        f"def {name}_seq(*args):\n    return 1 // 0\n"
-                    )
-        store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
-        store.save_kernels(module, cost_sig, stale)
-        lower.set_persistence(store.load_kernels, store.save_kernels)
-        try:
-            engine = TLSEngine(module, config=config, parallel=False)
-            got = engine.run()
-        finally:
-            lower.set_persistence(None, None)
-        ref = TLSEngine(
-            _mem_loop_module(), config=SimConfig(backend="tuples"),
-            parallel=False,
-        ).run()
-        assert engine.backend == "vector" and engine.fused_instructions > 0
-        assert got.to_state() == ref.to_state()
-        stored = store.load_kernels(module, cost_sig)
-        assert stored["version"] == lower.LOWER_SCHEMA_VERSION
-        assert stored == engine._program.to_state()
-
-    def test_wrong_typed_table_is_relowered(self, tmp_path):
-        # An entry whose digest holds but whose payload is not a table
-        # (a writer bug, not disk damage) is relowered, not a crash.
-        from repro.experiments import artifacts as artifacts_mod
-
-        module = _mem_loop_module()
-        config = SimConfig(backend="vector")
-        cost_sig = lower.cost_signature(config)
-        store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
-        store.save_kernels(module, cost_sig, "not a table")
-        lower.set_persistence(store.load_kernels, store.save_kernels)
-        try:
-            engine = TLSEngine(module, config=config, parallel=False)
-            got = engine.run()
-        finally:
-            lower.set_persistence(None, None)
-        ref = TLSEngine(
-            _mem_loop_module(), config=SimConfig(backend="tuples"),
-            parallel=False,
-        ).run()
-        assert engine.fused_instructions > 0
-        assert got.to_state() == ref.to_state()
-        assert store.load_kernels(module, cost_sig) == engine._program.to_state()
-
-
-    def test_schema_4_table_is_relowered_and_overwritten(self, tmp_path):
-        # Schema 4 tables carry suffix _seq bodies and epoch code past a
-        # signal, and their regions have no "seq" flag: a store holding
-        # one is relowered and the entry overwritten under the current
-        # schema.
-        from repro.experiments import artifacts as artifacts_mod
-
-        module = _mem_loop_module()
-        config = SimConfig(backend="vector")
-        cost_sig = lower.cost_signature(config)
-        old = lower.LoweredProgram(
-            _decoded(module), issue_width=int(config.issue_width)
-        ).lower_all().to_state()
-        old["version"] = 4
-        for labels in old["functions"].values():
-            for regions in labels.values():
-                for region in regions:
-                    del region["seq"]
-        store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
-        store.save_kernels(module, cost_sig, old)
-        lower.set_persistence(store.load_kernels, store.save_kernels)
-        try:
-            engine = TLSEngine(module, config=config, parallel=False)
-            got = engine.run()
-        finally:
-            lower.set_persistence(None, None)
-        ref = TLSEngine(
-            _mem_loop_module(), config=SimConfig(backend="tuples"),
-            parallel=False,
-        ).run()
-        assert engine.fused_instructions > 0
-        assert got.to_state() == ref.to_state()
-        stored = store.load_kernels(module, cost_sig)
-        assert lower.LOWER_SCHEMA_VERSION == 6
-        assert stored["version"] == 6
-        assert stored == engine._program.to_state()
-        assert any(
-            region["seq"] is False
-            for labels in stored["functions"].values()
-            for regions in labels.values()
-            for region in regions
-        )
-
-    def test_schema_5_table_is_relowered_and_overwritten(
-        self, tmp_path, monkeypatch
-    ):
-        # Schema 5 suffix regions run to the end of the path.  Such a
-        # table still validates against the decoded program, so only
-        # the version keeps a warm store from loading it: it is
-        # relowered and overwritten with one-segment suffix regions.
-        from repro.experiments import artifacts as artifacts_mod
-
-        module = _segment_loop_module()
-        decoded = _decoded(module)
-        config = SimConfig(backend="vector")
-        cost_sig = lower.cost_signature(config)
-        with monkeypatch.context() as patch:
-            patch.setattr(lower, "_segment", lambda blocks, tail: list(tail))
-            old = lower.LoweredProgram(
-                decoded, issue_width=int(config.issue_width)
-            ).lower_all().to_state()
-        assert _suffix_sites_past_min(decoded, old)
-        current = dict(old, version=lower.LOWER_SCHEMA_VERSION)
-        lower.LoweredProgram.from_state(decoded, current).lower_all()
-        old["version"] = 5
-        store = artifacts_mod.ArtifactStore(str(tmp_path / "store"))
-        store.save_kernels(module, cost_sig, old)
-        lower.set_persistence(store.load_kernels, store.save_kernels)
-        try:
-            engine = TLSEngine(module, config=config, parallel=True)
-            got = engine.run()
-        finally:
-            lower.set_persistence(None, None)
-        ref = TLSEngine(
-            module, config=SimConfig(fast_path=False), parallel=True
-        ).run()
-        assert engine.fused_instructions > 0
-        assert got.to_state() == ref.to_state()
-        stored = store.load_kernels(module, cost_sig)
-        assert stored["version"] == lower.LOWER_SCHEMA_VERSION == 6
-        assert stored == engine._program.to_state()
-        assert not _suffix_sites_past_min(decoded, stored)
-
-
-def _suffix_sites_past_min(decoded, state):
-    """Sites a stored table's suffix regions hold at path position
-    MIN_REGION_LEN or later."""
-    found = []
-    for fname, labels in state["functions"].items():
-        for regions in labels.values():
-            for region in regions:
-                if region["seq"]:
-                    continue
-                position = 0
-                for label, start, end in region["spans"]:
-                    ops = decoded.block(fname, label).ops
-                    for k in range(start, end):
-                        if (position >= lower.MIN_REGION_LEN
-                                and ops[k][0] in codegen.SITE_OPCODES):
-                            found.append((region["name"], label, k))
-                        position += 1
-    return found

@@ -135,30 +135,6 @@ def test_warm_requests_beat_the_cold_request(daemon_url):
     assert statistics.median(latencies) < cold_wall
 
 
-def test_warm_worker_serves_vector_jobs_without_recompiling(daemon_url):
-    """Second vector job on a warm worker: zero kernel compiles.
-
-    U and H share the baseline module and the default cost signature,
-    so the second request simulates for real (``computed``, distinct
-    memo key) but every region kernel must come from the worker's
-    in-process codegen memo — ``codegen.compiles == 0``.
-    """
-    with ServeClient(daemon_url) as client:
-        first = client.run(
-            JobRequest(workload="go", bar="U", backend="vector")
-        )
-        assert first["state"] == DONE, first.get("error")
-        assert first["source"] == "computed"
-        assert "compiles" in first["codegen"]
-
-        second = client.run(
-            JobRequest(workload="go", bar="H", backend="vector")
-        )
-        assert second["state"] == DONE, second.get("error")
-        assert second["source"] == "computed"
-        assert second["codegen"]["compiles"] == 0
-
-
 def test_concurrent_cold_submits_compile_once(daemon_url):
     """Six racing submits for one cold key -> exactly one compute."""
     statuses = []

@@ -112,6 +112,7 @@ def test_job_request_round_trip_and_normalization():
         {"workload": "go", "threshold": True},
         {"workload": "go", "events": "yes"},
         {"workload": "go", "extra": 1},            # unknown field
+        {"workload": "go", "backend": "vector"},   # retired field
     ],
 )
 def test_job_request_rejects_invalid(payload):
@@ -167,13 +168,15 @@ def test_job_request_default_has_no_overrides():
          override_error("num_cores", "four")),
         ({"workload": "go", "machine": {"num_cores": 0}},
          override_error("num_cores", 0)),
+        ({"workload": "go", "machine": {"num_cores": 2.5}},
+         "num_cores must be an integer (got 2.5)"),
         ({"workload": "go", "machine": {"signal_buffer_entries": 0}},
          override_error("signal_buffer_entries", 0)),
         ({"workload": "go", "predictor": "nope"},
          override_error("predictor", "nope")),
     ],
     ids=["not-an-object", "unknown-field", "not-a-number", "num-cores",
-         "signal-buffer", "predictor"],
+         "fractional-cores", "signal-buffer", "predictor"],
 )
 def test_job_request_rejects_bad_overrides(payload, message):
     with pytest.raises(ProtocolError) as caught:

@@ -97,6 +97,8 @@ def test_warm_report_loads_no_compiler_or_engine(tmp_path):
             "--cache-dir", str(tmp_path / "store"), "-o", str(tmp_path / "out.md"))
     cold = _loaded(tmp_path, *argv)
     assert "repro.tlssim.engine" in cold  # the cold run computed
+    # Only a vector engine lowers; a store does not pull lowering in.
+    assert _violations(cold, ("repro.ir.lower", "repro.ir.codegen")) == []
     warm = _loaded(tmp_path, *argv, "--metrics-out", str(tmp_path / "metrics.json"))
     assert json.loads((tmp_path / "metrics.json").read_text())["cache"]["misses"] == 0
     assert _violations(warm, WARM_REPORT) == []

@@ -5,8 +5,7 @@ the whole module in its own session, so teardown can kill its process
 group.  The tests run in file order against it and check that:
 
 * figure-10 bars U/P/H/C/B on go, mcf and gzip_decomp are served
-  byte-identical to a batch run into a separate store, and a vector
-  go/U job byte-identical to the tuples batch result;
+  byte-identical to a batch run into a separate store;
 * ``/v1/metrics`` counts every job finished so far as done;
 * SIGUSR2 to a busy worker process writes flight-recorder dumps, one
   naming the in-flight job;
@@ -147,17 +146,6 @@ def test_fig10_served_byte_identical_to_batch(daemon, batch_store):
             assert daemon.result(client, job_id) == _batch_bytes(
                 workload, bar
             ), f"{workload}/{bar}: daemon diverged from batch"
-
-
-def test_vector_job_byte_identical_to_tuples_batch(daemon, batch_store):
-    batch_store()
-    with ServeClient(daemon.url) as client:
-        job_id = client.submit(
-            JobRequest(workload="go", bar="U", backend="vector")
-        )
-        assert daemon.result(client, job_id) == _batch_bytes("go", "U"), (
-            "vector backend diverged from the tuples batch path"
-        )
 
 
 def test_metrics_count_every_finished_job(daemon):

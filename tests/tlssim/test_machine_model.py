@@ -51,6 +51,16 @@ class TestMachineConfigValidation:
         with pytest.raises(ValueError, match=f"{lines_field} must be >= 1"):
             MachineConfig(**{lines_field: 0})
 
+    @pytest.mark.parametrize("name,value", (
+        ("num_cores", 2.5), ("reorder_buffer", 64.5), ("words_per_line", 8.0),
+        ("l1_lines", 3.5), ("l2_lines", 1024.25),
+        ("signal_buffer_entries", 4.5),
+    ))
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError) as caught:
+            MachineConfig(**{name: value})
+        assert str(caught.value) == f"{name} must be an integer (got {value!r})"
+
     def test_negative_latency(self):
         with pytest.raises(ValueError, match="lat_l1 must be >= 0"):
             MachineConfig(lat_l1=-1)
@@ -66,6 +76,10 @@ class TestMachineConfigValidation:
     def test_simconfig_validates_its_machine_slice(self):
         with pytest.raises(ValueError, match="num_cores must be between"):
             SimConfig(num_cores=0)
+        with pytest.raises(
+            ValueError, match=r"num_cores must be an integer \(got 2.5\)"
+        ):
+            SimConfig(num_cores=2.5)
         with pytest.raises(
             ValueError, match="signal_buffer_entries must be >= 1"
         ):
