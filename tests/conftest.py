@@ -5,12 +5,14 @@ those tests run repeated warm submits through a live serve daemon and
 take minutes, so the tier-1 suite skips them unless ``--run-stability``
 is passed (the nightly workflow does).
 
-Three goldens pin the reproduction's outputs: EXPERIMENTS.md's
+Four goldens pin the reproduction's outputs: EXPERIMENTS.md's
 "Measured results" section (``tests/integration/test_golden_report.py``),
 the result digests in ``tests/golden/results.json``
-(``tests/tlssim/test_event_stream.py``) and the ``repro trace`` output
+(``tests/tlssim/test_event_stream.py``), the ``repro trace`` output
 digests in ``tests/golden/traces.json``
-(``tests/experiments/test_trace.py``).  ``--update-golden`` makes those
+(``tests/experiments/test_trace.py``) and the sequential interpreter's
+hook-stream digests in ``tests/golden/hooks.json``
+(``tests/ir/test_hook_stream.py``).  ``--update-golden`` makes those
 tests rewrite the goldens instead of asserting them; a change that
 does so says why in CHANGES.md.
 
@@ -28,6 +30,7 @@ import pytest
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RESULT_DIGESTS = GOLDEN / "results.json"
 TRACE_DIGESTS = GOLDEN / "traces.json"
+HOOK_DIGESTS = GOLDEN / "hooks.json"
 
 
 def pytest_addoption(parser):
@@ -121,6 +124,20 @@ def trace_digests(update_golden):
         TRACE_DIGESTS, "traces",
         "sha256 of the file `repro trace --workload W --bar B "
         "--format F -o FILE` writes",
+        update_golden,
+    ) as check:
+        yield check
+
+
+@pytest.fixture(scope="session")
+def hook_digests(update_golden):
+    """``check(key, data)``: assert the sha256 of an interpreter
+    hook-stream encoding against ``tests/golden/hooks.json``."""
+    with _golden_digests(
+        HOOK_DIGESTS, "hooks",
+        "sha256 of repr(list of hook calls + ('end', steps, return "
+        "value)) of one sequential run, threshold 0.05; see "
+        "tests/ir/test_hook_stream.py",
         update_golden,
     ) as check:
         yield check
