@@ -15,7 +15,7 @@ loop) is modified in place rather than cloned.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.compiler.clone import clone_function, fresh_clone_name
 from repro.ir.callgraph import CallStack, CallTree
@@ -92,10 +92,3 @@ def specialize_call_paths(
         call.callee = clone_name
         materialized[stack] = clone_name
     return materialized
-
-
-def resolve_ref_function(
-    materialized: Dict[CallStack, str], stack: CallStack
-) -> Optional[str]:
-    """Function materialized for ``stack`` (None if never specialized)."""
-    return materialized.get(tuple(stack))

@@ -16,6 +16,10 @@ flow-insensitive, exactly as described.  Dependences are tracked at
 word granularity — which is why the compiler cannot see false sharing,
 while the line-granularity hardware can (Section 4.2's M88KSIM
 discussion).
+
+One sequential run of the interpreter feeds :class:`_DependenceHooks`
+a call-stack tuple with every load and store inside a parallelized
+loop; the hooks match each load with the last store to its word.
 """
 
 from __future__ import annotations
@@ -149,137 +153,14 @@ class _DependenceHooks(Hooks):
         self._epoch_load_iids.add(instr.iid)
 
 
-class _FastDependenceHooks(Hooks):
-    """Interned-context variant of :class:`_DependenceHooks`.
-
-    Produces bit-identical profiles while avoiding the two per-access
-    costs of the reference hooks: the call-stack tuple build (replaced
-    by the interpreter's interned int handles — see
-    ``Hooks.context_handles``) and the tuple-keyed dict operations
-    (replaced by dense int reference ids, interned per (iid, ctx)).
-    Per-loop counts accumulate in plain int-keyed dicts; real
-    :data:`MemRef` keys are materialized once, at the end of the run,
-    from the interpreter's context table.
-    """
-
-    context_handles = True
-
-    def __init__(self, profiles: Dict[Tuple[str, str], LoopDependenceProfile]):
-        self.profiles = profiles
-        self._active: Optional[LoopDependenceProfile] = None
-        #: accumulator of the active loop: (pair, load-rid, load-iid counts)
-        self._active_acc: Optional[tuple] = None
-        self._acc: Dict[Tuple[str, str], tuple] = {}
-        self._instance_key = 0
-        #: word address -> (store rid, epoch, instance key)
-        self._last_store: Dict[int, Tuple[int, int, int]] = {}
-        #: iid -> ctx handle -> rid; rid indexes ``_refs``
-        self._rid_of: Dict[int, Dict[int, int]] = {}
-        self._refs: List[Tuple[int, int]] = []
-        self._epoch_pairs: Set[Tuple[int, int]] = set()
-        self._epoch_loads: Set[int] = set()
-        self._epoch_load_iids: Set[int] = set()
-
-    def _rid(self, iid: int, ctx: int) -> int:
-        per_iid = self._rid_of.get(iid)
-        if per_iid is None:
-            per_iid = self._rid_of[iid] = {}
-        rid = per_iid.get(ctx)
-        if rid is None:
-            rid = len(self._refs)
-            per_iid[ctx] = rid
-            self._refs.append((iid, ctx))
-        return rid
-
-    def _flush_epoch(self) -> None:
-        acc = self._active_acc
-        if acc is None:
-            return
-        pair_counts, load_counts, iid_counts = acc
-        for pair in self._epoch_pairs:
-            pair_counts[pair] = pair_counts.get(pair, 0) + 1
-        for rid in self._epoch_loads:
-            load_counts[rid] = load_counts.get(rid, 0) + 1
-        for iid in self._epoch_load_iids:
-            iid_counts[iid] = iid_counts.get(iid, 0) + 1
-        self._epoch_pairs = set()
-        self._epoch_loads = set()
-        self._epoch_load_iids = set()
-
-    def on_region_enter(self, function, header, instance):
-        key = (function, header)
-        self._active = self.profiles.get(key)
-        if self._active is None:
-            self._active_acc = None
-        else:
-            acc = self._acc.get(key)
-            if acc is None:
-                acc = self._acc[key] = ({}, {}, {})
-            self._active_acc = acc
-        self._instance_key += 1
-
-    def on_epoch_start(self, epoch):
-        self._flush_epoch()
-        if self._active is not None:
-            self._active.total_epochs += 1
-
-    def on_region_exit(self, function, header, epochs):
-        self._flush_epoch()
-        self._active = None
-        self._active_acc = None
-
-    def on_store(self, instr, ctx, addr, value, epoch):
-        if self._active is None or epoch is None:
-            return
-        self._last_store[addr] = (self._rid(instr.iid, ctx), epoch, self._instance_key)
-
-    def on_load(self, instr, ctx, addr, value, epoch):
-        if self._active is None or epoch is None:
-            return
-        last = self._last_store.get(addr)
-        if last is None:
-            return
-        store_rid, store_epoch, instance = last
-        if instance != self._instance_key or store_epoch >= epoch:
-            return  # same-epoch or cross-instance: not an inter-epoch dep
-        load_rid = self._rid(instr.iid, ctx)
-        distance = epoch - store_epoch
-        profile = self._active
-        profile.distance_hist[distance] = profile.distance_hist.get(distance, 0) + 1
-        self._epoch_pairs.add((store_rid, load_rid))
-        self._epoch_loads.add(load_rid)
-        self._epoch_load_iids.add(instr.iid)
-
-    def materialize(self, context_table: List[Tuple[int, ...]]) -> None:
-        """Expand rid-keyed counts into the profiles' MemRef keys."""
-        refs = self._refs
-
-        def mem_ref(rid: int) -> MemRef:
-            iid, ctx = refs[rid]
-            return (iid, context_table[ctx])
-
-        for key, (pair_counts, load_counts, iid_counts) in self._acc.items():
-            profile = self.profiles[key]
-            for (store_rid, load_rid), count in pair_counts.items():
-                profile.pair_epochs[(mem_ref(store_rid), mem_ref(load_rid))] = count
-            for rid, count in load_counts.items():
-                profile.load_epochs[mem_ref(rid)] = count
-            profile.load_iid_epochs.update(iid_counts)
-
-
 def profile_dependences(
-    module: Module, fuel: int = 50_000_000, fast: bool = True
+    module: Module, fuel: int = 50_000_000
 ) -> Dict[Tuple[str, str], LoopDependenceProfile]:
     """Profile all annotated parallel loops of ``module`` in one run.
 
     The module should be the post-scalar-sync program (the program whose
     loads and stores will be transformed); contexts are keyed by the
     instruction ids of that module.
-
-    ``fast`` selects the interned-context hooks on the decoded
-    interpreter path; ``fast=False`` runs the reference hooks on the
-    object-walking interpreter (the two must produce equal profiles —
-    ``tests/compiler/test_memdep.py`` asserts it).
     """
     profiles = {
         (loop.function, loop.header): LoopDependenceProfile(
@@ -287,13 +168,5 @@ def profile_dependences(
         )
         for loop in module.parallel_loops
     }
-    if fast:
-        fast_hooks = _FastDependenceHooks(profiles)
-        interp = Interpreter(module, hooks=fast_hooks, fuel=fuel, fast_path=True)
-        interp.run()
-        fast_hooks.materialize(interp.context_table)
-    else:
-        Interpreter(
-            module, hooks=_DependenceHooks(profiles), fuel=fuel, fast_path=False
-        ).run()
+    Interpreter(module, hooks=_DependenceHooks(profiles), fuel=fuel).run()
     return profiles

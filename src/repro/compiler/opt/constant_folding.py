@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.ir.evalops import InterpreterError, eval_binop, eval_unop
 from repro.ir.function import Function
 from repro.ir.instructions import BinOp, Const, Move, UnOp
-from repro.ir.interpreter import InterpreterError, eval_binop, eval_unop
 from repro.ir.operands import Imm, Reg
 
 

@@ -58,11 +58,6 @@ class FunctionBuilder:
         self._current = self.function.add_block(label)
         return self._current
 
-    def switch_to(self, label: str):
-        """Make an existing block current (it must still be open)."""
-        self._current = self.function.block(label)
-        return self._current
-
     @property
     def current(self):
         if self._current is None:

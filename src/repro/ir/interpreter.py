@@ -13,22 +13,21 @@ clients build on it:
 
 TLS synchronization instructions get *sequential* semantics that make a
 transformed program observationally identical to the original: ``wait``
-yields 0, ``signal``/``check``/``resume`` are no-ops and ``select``
-always chooses the memory value.  (Under sequential execution the
+keeps its destination's value (0 if unset), ``signal``/``check``/
+``resume`` are no-ops and ``select`` always chooses the memory value.  (Under sequential execution the
 memory value is by definition the correct one, so the forwarding
 protocol degenerates away.)
 
-Two execution paths produce identical results: the *slow path* walks
-``Instruction`` objects with ``isinstance`` dispatch, the default *fast
-path* (``fast_path=True``) runs the one-time-decoded tuple form from
-:mod:`repro.ir.decode`.  Hook callbacks, step counts, region events and
-error behaviour are preserved exactly.
+There is one execution path: the interpreter runs the one-time-decoded
+tuple form of :mod:`repro.ir.decode`.  ``tests/golden/hooks.json`` pins
+the hook calls, step count and return value it produces on every
+workload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.ir.cfg import CFG
 from repro.ir.decode import (
@@ -51,34 +50,11 @@ from repro.ir.decode import (
     OP_WAIT,
     DecodedProgram,
 )
-from repro.ir.evalops import (  # noqa: F401  (re-exported legacy API)
-    MASK,
-    InterpreterError,
-    eval_binop,
-    eval_unop,
-)
-from repro.ir.instructions import (
-    Alloc,
-    BinOp,
-    Call,
-    Check,
-    CondBr,
-    Const,
-    Jump,
-    Load,
-    Move,
-    Resume,
-    Ret,
-    Select,
-    Signal,
-    Store,
-    UnOp,
-    Wait,
-)
+from repro.ir.evalops import InterpreterError
+from repro.ir.instructions import Call, Load, Store
 from repro.ir.loops import LoopForest
 from repro.ir.memimage import MemoryImage
 from repro.ir.module import Module
-from repro.ir.operands import GlobalRef, Imm, Reg
 
 
 class _CalleeMissing(Exception):
@@ -94,9 +70,6 @@ class Frame:
     block: str
     index: int = 0
     call_instr: Optional[Call] = None
-    #: Interned call-stack context handle (context-handle hooks only):
-    #: index into the interpreter's ``context_table``, 0 = empty stack.
-    ctx: int = 0
 
 
 @dataclass
@@ -128,20 +101,7 @@ class Hooks:
     active parallelized loop (empty when no region is active or the
     access happens in the loop body itself) — exactly the naming scheme
     of paper Section 2.3.
-
-    Hook classes that set ``context_handles = True`` opt into the fast
-    profiling protocol: instead of a freshly-built tuple, ``on_load``/
-    ``on_store`` receive an **interned integer handle** identifying the
-    call stack.  Handle 0 is the empty stack; equal handles mean equal
-    stacks within one run, and the interpreter's ``context_table``
-    (handle -> tuple of call-site iids) materializes them afterwards.
-    This skips the per-access tuple construction that dominates
-    profiling time and is only available on the decoded fast path.
     """
-
-    #: When True, load/store hooks receive interned int context handles
-    #: instead of call-stack tuples (fast path only).
-    context_handles = False
 
     def on_instruction(self, instr, in_region: bool) -> None:
         pass
@@ -170,16 +130,12 @@ class Interpreter:
         module: Module,
         hooks: Optional[Hooks] = None,
         fuel: int = 50_000_000,
-        fast_path: bool = True,
     ):
         self.module = module
         self.hooks = hooks or Hooks()
         self.fuel = fuel
-        self.fast_path = fast_path
         self.memory = MemoryImage(module)
         self._decoded: Optional[DecodedProgram] = None
-        #: handle -> call-stack tuple, filled by context-handle runs.
-        self.context_table: List[Tuple[int, ...]] = [()]
         self._loop_blocks: Dict[Tuple[str, str], frozenset] = {}
         for loop in module.parallel_loops:
             cfg = CFG(module.function(loop.function))
@@ -192,246 +148,7 @@ class Interpreter:
                 )
             self._loop_blocks[(loop.function, loop.header)] = frozenset(natural.blocks)
 
-    # -- operand evaluation ---------------------------------------------
-
-    def _value(self, frame: Frame, operand) -> int:
-        if isinstance(operand, Imm):
-            return operand.value
-        if isinstance(operand, GlobalRef):
-            return self.memory.addr_of(operand.name)
-        if isinstance(operand, Reg):
-            try:
-                return frame.regs[operand.name]
-            except KeyError:
-                raise InterpreterError(
-                    f"{frame.function_name}: read of undefined register "
-                    f"%{operand.name}"
-                ) from None
-        raise InterpreterError(f"bad operand {operand!r}")
-
-    # -- main loop ---------------------------------------------------------
-
     def run(self, function: str = "main", args: Tuple[int, ...] = ()) -> RunResult:
-        if self.fast_path:
-            return self._run_fast(function, args)
-        if getattr(self.hooks, "context_handles", False):
-            raise InterpreterError(
-                "context-handle hooks require the decoded fast path"
-            )
-        return self._run_slow(function, args)
-
-    def _entry_frames(self, function: str, args: Tuple[int, ...]) -> List[Frame]:
-        entry = self.module.function(function)
-        if len(args) != len(entry.params):
-            raise InterpreterError(
-                f"{function} expects {len(entry.params)} args, got {len(args)}"
-            )
-        return [
-            Frame(
-                function_name=function,
-                regs={p.name: v for p, v in zip(entry.params, args)},
-                block=entry.entry_label,
-            )
-        ]
-
-    def _run_slow(self, function: str, args: Tuple[int, ...]) -> RunResult:
-        module = self.module
-        frames = self._entry_frames(function, args)
-        region: Optional[RegionState] = None
-        region_instances: Dict[Tuple[str, str], int] = {}
-        epochs_per_region: Dict[Tuple[str, str], int] = {}
-        steps = 0
-        return_value: Optional[int] = None
-
-        def context_stack() -> Tuple[int, ...]:
-            if region is None:
-                return ()
-            # Stacks are keyed by the call instructions' own iids:
-            # loop-unrolled copies of a call site are distinct static
-            # call points and must profile separately.
-            return tuple(
-                f.call_instr.iid  # type: ignore[union-attr]
-                for f in frames[region.frame_depth:]
-                if f.call_instr is not None
-            )
-
-        while frames:
-            frame = frames[-1]
-            func = module.function(frame.function_name)
-            block = func.block(frame.block)
-            if frame.index >= len(block.instructions):
-                raise InterpreterError(
-                    f"{frame.function_name}:{frame.block} fell off block end"
-                )
-            instr = block.instructions[frame.index]
-            steps += 1
-            if steps > self.fuel:
-                raise InterpreterError(f"fuel exhausted after {steps} steps")
-            self.hooks.on_instruction(instr, region is not None)
-
-            def goto(target: str) -> None:
-                """Transfer control within the current frame, tracking
-                parallelized-region entry/backedge/exit events."""
-                nonlocal region
-                key = (frame.function_name, target)
-                # Within the region's own frame, a branch to the header
-                # is a backedge (new epoch) and a branch out of the loop
-                # blocks ends the region instance.
-                if region is not None and len(frames) == region.frame_depth:
-                    if target not in region.loop_blocks:
-                        epochs_key = (region.loop_function, region.header)
-                        epochs_per_region[epochs_key] = (
-                            epochs_per_region.get(epochs_key, 0) + region.epoch + 1
-                        )
-                        self.hooks.on_region_exit(
-                            region.loop_function, region.header, region.epoch + 1
-                        )
-                        region = None
-                    elif target == region.header:
-                        region.epoch += 1
-                        self.hooks.on_epoch_start(region.epoch)
-                if region is None and key in self._loop_blocks:
-                    instance = region_instances.get(key, 0)
-                    region_instances[key] = instance + 1
-                    region = RegionState(
-                        loop_function=frame.function_name,
-                        header=target,
-                        loop_blocks=self._loop_blocks[key],
-                        frame_depth=len(frames),
-                        instance=instance,
-                    )
-                    self.hooks.on_region_enter(frame.function_name, target, instance)
-                    self.hooks.on_epoch_start(0)
-                frame.block = target
-                frame.index = 0
-
-            if isinstance(instr, Const):
-                frame.regs[instr.dest.name] = instr.value
-                frame.index += 1
-            elif isinstance(instr, Move):
-                frame.regs[instr.dest.name] = self._value(frame, instr.src)
-                frame.index += 1
-            elif isinstance(instr, BinOp):
-                frame.regs[instr.dest.name] = eval_binop(
-                    instr.op,
-                    self._value(frame, instr.lhs),
-                    self._value(frame, instr.rhs),
-                )
-                frame.index += 1
-            elif isinstance(instr, UnOp):
-                frame.regs[instr.dest.name] = eval_unop(
-                    instr.op, self._value(frame, instr.src)
-                )
-                frame.index += 1
-            elif isinstance(instr, Load):
-                addr = self._value(frame, instr.addr) + instr.offset
-                value = self.memory.load(addr)
-                frame.regs[instr.dest.name] = value
-                self.hooks.on_load(
-                    instr,
-                    context_stack(),
-                    addr,
-                    value,
-                    region.epoch if region is not None else None,
-                )
-                frame.index += 1
-            elif isinstance(instr, Store):
-                addr = self._value(frame, instr.addr) + instr.offset
-                value = self._value(frame, instr.value)
-                self.memory.store(addr, value)
-                self.hooks.on_store(
-                    instr,
-                    context_stack(),
-                    addr,
-                    value,
-                    region.epoch if region is not None else None,
-                )
-                frame.index += 1
-            elif isinstance(instr, Alloc):
-                size = self._value(frame, instr.size)
-                frame.regs[instr.dest.name] = self.memory.alloc(size)
-                frame.index += 1
-            elif isinstance(instr, Call):
-                callee = module.function(instr.callee)
-                values = [self._value(frame, a) for a in instr.args]
-                frames.append(
-                    Frame(
-                        function_name=instr.callee,
-                        regs={p.name: v for p, v in zip(callee.params, values)},
-                        block=callee.entry_label,
-                        call_instr=instr,
-                    )
-                )
-            elif isinstance(instr, Ret):
-                value = (
-                    self._value(frame, instr.value)
-                    if instr.value is not None
-                    else None
-                )
-                if region is not None and len(frames) == region.frame_depth:
-                    # Returning out of the frame that owns the region.
-                    epochs_key = (region.loop_function, region.header)
-                    epochs_per_region[epochs_key] = (
-                        epochs_per_region.get(epochs_key, 0) + region.epoch + 1
-                    )
-                    self.hooks.on_region_exit(
-                        region.loop_function, region.header, region.epoch + 1
-                    )
-                    region = None
-                frames.pop()
-                if frames:
-                    caller = frames[-1]
-                    call = module.function(caller.function_name).block(
-                        caller.block
-                    ).instructions[caller.index]
-                    assert isinstance(call, Call)
-                    if call.dest is not None:
-                        if value is None:
-                            raise InterpreterError(
-                                f"void return into %{call.dest.name}"
-                            )
-                        caller.regs[call.dest.name] = value
-                    caller.index += 1
-                else:
-                    return_value = value
-            elif isinstance(instr, Jump):
-                goto(instr.target)
-            elif isinstance(instr, CondBr):
-                cond = self._value(frame, instr.cond)
-                goto(instr.true_target if cond else instr.false_target)
-            elif isinstance(instr, Wait):
-                # Sequential semantics: the destination of a scalar wait
-                # is the communicating scalar itself, which already
-                # holds the previous iteration's value — preserve it.
-                frame.regs[instr.dest.name] = frame.regs.get(instr.dest.name, 0)
-                frame.index += 1
-            elif isinstance(instr, Signal):
-                self._value(frame, instr.value)  # validate operand
-                frame.index += 1
-            elif isinstance(instr, Check):
-                self._value(frame, instr.f_addr)
-                self._value(frame, instr.m_addr)
-                frame.index += 1
-            elif isinstance(instr, Select):
-                frame.regs[instr.dest.name] = self._value(frame, instr.m_value)
-                frame.index += 1
-            elif isinstance(instr, Resume):
-                frame.index += 1
-            else:
-                raise InterpreterError(
-                    f"cannot interpret {type(instr).__name__}"
-                )
-
-        return RunResult(
-            return_value=return_value,
-            steps=steps,
-            memory=self.memory,
-            epochs_per_region=epochs_per_region,
-        )
-
-    # -- decoded fast path -------------------------------------------------
-
-    def _run_fast(self, function: str, args: Tuple[int, ...]) -> RunResult:
         module = self.module
         memory = self.memory
         hooks = self.hooks
@@ -439,19 +156,23 @@ class Interpreter:
         fire_instr = hooks_cls.on_instruction is not Hooks.on_instruction
         fire_load = hooks_cls.on_load is not Hooks.on_load
         fire_store = hooks_cls.on_store is not Hooks.on_store
-        use_ctx = bool(getattr(hooks, "context_handles", False))
-        # Interned call-stack contexts: a child context is keyed by
-        # (parent handle, call-site iid), so each distinct stack is
-        # built exactly once per run instead of per memory access.
-        ctx_children: Dict[Tuple[int, int], int] = {}
-        ctx_table: List[Tuple[int, ...]] = [()]
-        self.context_table = ctx_table
         if self._decoded is None:
             self._decoded = DecodedProgram(module, memory.addr_of)
         dprog = self._decoded
         loop_blocks = self._loop_blocks
         fuel = self.fuel
-        frames = self._entry_frames(function, args)
+        entry = module.function(function)
+        if len(args) != len(entry.params):
+            raise InterpreterError(
+                f"{function} expects {len(entry.params)} args, got {len(args)}"
+            )
+        frames = [
+            Frame(
+                function_name=function,
+                regs={p.name: v for p, v in zip(entry.params, args)},
+                block=entry.entry_label,
+            )
+        ]
         region: Optional[RegionState] = None
         region_instances: Dict[Tuple[str, str], int] = {}
         epochs_per_region: Dict[Tuple[str, str], int] = {}
@@ -459,8 +180,9 @@ class Interpreter:
         return_value: Optional[int] = None
 
         def context_stack() -> Tuple[int, ...]:
-            if region is None:
-                return ()
+            # Stacks are keyed by the call instructions' own iids:
+            # loop-unrolled copies of a call site are distinct static
+            # call points and must profile separately.
             return tuple(
                 f.call_instr.iid  # type: ignore[union-attr]
                 for f in frames[region.frame_depth:]
@@ -543,21 +265,10 @@ class Interpreter:
                         regs[op[3]] = value
                         if fire_load:
                             if region is None:
-                                hooks.on_load(
-                                    op[2], 0 if use_ctx else (), addr, value, None
-                                )
+                                hooks.on_load(op[2], (), addr, value, None)
                             else:
                                 hooks.on_load(
-                                    op[2],
-                                    (
-                                        frame.ctx
-                                        if len(frames) > region.frame_depth
-                                        else 0
-                                    )
-                                    if use_ctx
-                                    else context_stack(),
-                                    addr,
-                                    value,
+                                    op[2], context_stack(), addr, value,
                                     region.epoch,
                                 )
                         i += 1
@@ -569,21 +280,10 @@ class Interpreter:
                         memory.store(addr, value)
                         if fire_store:
                             if region is None:
-                                hooks.on_store(
-                                    op[2], 0 if use_ctx else (), addr, value, None
-                                )
+                                hooks.on_store(op[2], (), addr, value, None)
                             else:
                                 hooks.on_store(
-                                    op[2],
-                                    (
-                                        frame.ctx
-                                        if len(frames) > region.frame_depth
-                                        else 0
-                                    )
-                                    if use_ctx
-                                    else context_stack(),
-                                    addr,
-                                    value,
+                                    op[2], context_stack(), addr, value,
                                     region.epoch,
                                 )
                         i += 1
@@ -608,28 +308,14 @@ class Interpreter:
                             a if type(a) is int else regs[a] for a in op[5]
                         ]
                         frame.index = i
-                        callee_frame = Frame(
-                            function_name=op[4],
-                            regs=dict(zip(op[6], values)),
-                            block=op[7],
-                            call_instr=op[2],
-                        )
-                        if use_ctx and region is not None:
-                            parent = (
-                                frame.ctx
-                                if len(frames) > region.frame_depth
-                                else 0
+                        frames.append(
+                            Frame(
+                                function_name=op[4],
+                                regs=dict(zip(op[6], values)),
+                                block=op[7],
+                                call_instr=op[2],
                             )
-                            ckey = (parent, op[2].iid)
-                            child = ctx_children.get(ckey)
-                            if child is None:
-                                child = len(ctx_table)
-                                ctx_children[ckey] = child
-                                ctx_table.append(
-                                    ctx_table[parent] + (op[2].iid,)
-                                )
-                            callee_frame.ctx = child
-                        frames.append(callee_frame)
+                        )
                         break
                     elif code == OP_RET:
                         v = op[3]
@@ -703,12 +389,7 @@ class Interpreter:
 
 
 def run_module(
-    module: Module,
-    hooks: Optional[Hooks] = None,
-    fuel: int = 50_000_000,
-    fast_path: bool = True,
+    module: Module, hooks: Optional[Hooks] = None, fuel: int = 50_000_000
 ) -> RunResult:
     """Convenience wrapper: interpret ``module`` from ``main``."""
-    return Interpreter(
-        module, hooks=hooks, fuel=fuel, fast_path=fast_path
-    ).run()
+    return Interpreter(module, hooks=hooks, fuel=fuel).run()

@@ -65,10 +65,6 @@ class MemoryImage:
         self._heap_next += size
         return base
 
-    @property
-    def heap_top(self) -> int:
-        return self._heap_next
-
     # -- access -----------------------------------------------------------
 
     def load(self, addr: int) -> int:

@@ -306,10 +306,6 @@ class Daemon:
             self._batch_seq += 1
             batch_id = self._batch_seq
             self._batches[batch_id] = (key, job_ids, worker_id)
-            worker = self._worker_states.get(worker_id)
-            if worker is not None:
-                worker["state"] = "busy"
-                worker["key"] = list(key)
             jobs = []
             for job_id in job_ids:
                 record = self.jobs[job_id]
@@ -352,6 +348,17 @@ class Daemon:
         op = message.get("op")
         if op == "job":
             self._finish_job(message["job"], message["outcome"])
+        elif op == "batch_start":
+            # Busy from the worker's side: a leased batch still in the
+            # task queue leaves the worker idle (and its flight recorder
+            # naming no job) until the worker takes it.
+            entry = self._batches.get(message["batch"])
+            if entry is not None:
+                key, _job_ids, worker_id = entry
+                worker = self._worker_states.get(worker_id)
+                if worker is not None:
+                    worker["state"] = "busy"
+                    worker["key"] = list(key)
         elif op == "batch_done":
             entry = self._batches.pop(message["batch"], None)
             if entry is not None:

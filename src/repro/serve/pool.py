@@ -20,9 +20,11 @@ Message protocol (picklable dicts):
 
 * daemon -> worker: ``{"op": "batch", "batch": id, "jobs": [[job_id,
   request_dict, trace_ctx_or_None], ...]}`` or ``{"op": "stop"}``
-* worker -> daemon: ``{"op": "job", "worker": i, "job": job_id,
-  "outcome": {...}}`` per job, then ``{"op": "batch_done", "worker":
-  i, "batch": id}``; ``{"op": "bye", "worker": i}`` on exit.
+* worker -> daemon: ``{"op": "batch_start", "worker": i, "batch": id}``
+  once the worker has taken a batch, ``{"op": "job", "worker": i,
+  "job": job_id, "outcome": {...}}`` per job, then ``{"op":
+  "batch_done", "worker": i, "batch": id}``; ``{"op": "bye", "worker":
+  i}`` on exit.
 
 Telemetry: the per-job ``trace_ctx`` is the daemon-side span context
 (:class:`repro.obs.spans.SpanContext` as a dict); the worker parents
@@ -112,110 +114,102 @@ def execute_request(
     started = time.perf_counter()
     counters_before = artifacts_mod.counters()
     metrics_mod.reset()
-    recorder = flightrec.get()
-    recorder.set_inflight(
-        job=job_id, workload=request.workload, bar=request.bar,
-        threshold=request.threshold, events=request.events,
-    )
     parent = spans_mod.SpanContext.from_dict(trace_ctx)
     profiler = None
     profile_info: Optional[Dict] = None
-    try:
-        with spans_mod.recording() as job_spans:
-            try:
-                with spans_mod.span(
-                    "worker.execute", parent=parent, component="worker",
-                    job=job_id, workload=request.workload, bar=request.bar,
-                    pid=os.getpid(),
-                ):
-                    from repro.tlssim.config import SimConfig
+    with spans_mod.recording() as job_spans:
+        try:
+            with spans_mod.span(
+                "worker.execute", parent=parent, component="worker",
+                job=job_id, workload=request.workload, bar=request.bar,
+                pid=os.getpid(),
+            ):
+                from repro.tlssim.config import SimConfig
 
-                    with spans_mod.span("bundle.warm", component="worker"):
-                        bundle = _warm_bundle(
-                            request.workload, request.threshold
-                        )
-                    # Machine-model overrides and predictor selection
-                    # ride in on the base config; the memo/disk keys
-                    # keep every distinct configuration separate so
-                    # each point's compute is accounted honestly.
-                    overrides = request.config_overrides()
-                    base = SimConfig(**overrides) if overrides else None
-                    if request.profile:
-                        import cProfile
+                with spans_mod.span("bundle.warm", component="worker"):
+                    bundle = _warm_bundle(
+                        request.workload, request.threshold
+                    )
+                # Machine-model overrides and predictor selection
+                # ride in on the base config; the memo/disk keys
+                # keep every distinct configuration separate so
+                # each point's compute is accounted honestly.
+                overrides = request.config_overrides()
+                base = SimConfig(**overrides) if overrides else None
+                if request.profile:
+                    import cProfile
 
-                        profiler = cProfile.Profile()
-                        profiler.enable()
-                    try:
-                        if request.events:
-                            from repro.experiments import trace as trace_mod
+                    profiler = cProfile.Profile()
+                    profiler.enable()
+                try:
+                    if request.events:
+                        from repro.experiments import trace as trace_mod
 
-                            with spans_mod.span(
-                                "simulate.traced", component="worker",
-                            ):
-                                run = trace_mod.run_traced(
-                                    request.workload, bar=request.bar,
-                                    threshold=request.threshold, base=base,
-                                )
-                            result = run.result
-                            event_lines: Optional[List[str]] = (
-                                canonical_event_lines(
-                                    run.events,
-                                    meta={
-                                        "workload": request.workload,
-                                        "bar": request.bar,
-                                        "num_cores": run.num_cores,
-                                        "issue_width": run.issue_width,
-                                    },
-                                )
+                        with spans_mod.span(
+                            "simulate.traced", component="worker",
+                        ):
+                            run = trace_mod.run_traced(
+                                request.workload, bar=request.bar,
+                                threshold=request.threshold, base=base,
                             )
-                            source = SOURCE_TRACED
-                        else:
-                            with spans_mod.span(
-                                "simulate", component="worker",
+                        result = run.result
+                        event_lines: Optional[List[str]] = (
+                            canonical_event_lines(
+                                run.events,
+                                meta={
+                                    "workload": request.workload,
+                                    "bar": request.bar,
+                                    "num_cores": run.num_cores,
+                                    "issue_width": run.issue_width,
+                                },
+                            )
+                        )
+                        source = SOURCE_TRACED
+                    else:
+                        with spans_mod.span(
+                            "simulate", component="worker",
+                        ):
+                            result = bundle.simulate(
+                                request.bar, base=base
+                            )
+                        event_lines = None
+                        source = SOURCE_MEMO
+                        for job in metrics_mod.current().jobs:
+                            if (
+                                job.kind == "bar"
+                                and job.label == request.bar
                             ):
-                                result = bundle.simulate(
-                                    request.bar, base=base
-                                )
-                            event_lines = None
-                            source = SOURCE_MEMO
-                            for job in metrics_mod.current().jobs:
-                                if (
-                                    job.kind == "bar"
-                                    and job.label == request.bar
-                                ):
-                                    source = job.source
-                    finally:
-                        if profiler is not None:
-                            profiler.disable()
-                    pipeline = [
-                        {"label": j.label, "kind": j.kind,
-                         "source": j.source, "wall_s": j.wall_s}
-                        for j in metrics_mod.current().jobs
-                        if j.kind in ("compile", "oracle")
-                    ]
+                                source = job.source
+                finally:
                     if profiler is not None:
-                        profile_info = {
-                            "text": _profile_summary(profiler),
-                            "path": None,
-                        }
-                        if store_profile:
-                            try:
-                                path = _profile_path(job_id, cache_root)
-                                profiler.dump_stats(path)
-                                profile_info["path"] = path
-                            except OSError:
-                                pass
-                    outcome = {
-                        "ok": True,
-                        "result": result.to_state(),
-                        "events": event_lines,
-                        "source": source,
-                        "pipeline": pipeline,
+                        profiler.disable()
+                pipeline = [
+                    {"label": j.label, "kind": j.kind,
+                     "source": j.source, "wall_s": j.wall_s}
+                    for j in metrics_mod.current().jobs
+                    if j.kind in ("compile", "oracle")
+                ]
+                if profiler is not None:
+                    profile_info = {
+                        "text": _profile_summary(profiler),
+                        "path": None,
                     }
-            except Exception:
-                outcome = {"ok": False, "error": traceback.format_exc()}
-    finally:
-        recorder.clear_inflight()
+                    if store_profile:
+                        try:
+                            path = _profile_path(job_id, cache_root)
+                            profiler.dump_stats(path)
+                            profile_info["path"] = path
+                        except OSError:
+                            pass
+                outcome = {
+                    "ok": True,
+                    "result": result.to_state(),
+                    "events": event_lines,
+                    "source": source,
+                    "pipeline": pipeline,
+                }
+        except Exception:
+            outcome = {"ok": False, "error": traceback.format_exc()}
     counters_after = artifacts_mod.counters()
     outcome.update(
         wall_s=time.perf_counter() - started,
@@ -232,21 +226,40 @@ def execute_request(
 
 
 def _run_batch(worker_id: int, message: Dict, emit: Callable[[Dict], None]) -> None:
-    """Execute one batch message, emitting per-job outcomes."""
+    """Execute one batch message, emitting per-job outcomes.
+
+    The flight recorder names the job about to run from the moment the
+    batch is taken until the last outcome is emitted, and the daemon
+    shows the worker busy only from ``batch_start`` to ``batch_done``,
+    so a SIGUSR2 dump of a worker shown busy names a job even before
+    the first one starts or between two of them.
+    """
     cache_root = message.get("cache_root")
     store_profile = message.get("store_profiles", True)
-    for entry in message["jobs"]:
-        job_id, request_state = entry[0], entry[1]
-        trace_ctx = entry[2] if len(entry) > 2 else None
-        outcome = execute_request(
-            JobRequest.from_dict(request_state),
-            job_id=job_id,
-            trace_ctx=trace_ctx,
-            cache_root=cache_root,
-            store_profile=store_profile,
-        )
-        emit({"op": "job", "worker": worker_id, "job": job_id,
-              "outcome": outcome})
+    recorder = flightrec.get()
+    try:
+        for index, entry in enumerate(message["jobs"]):
+            job_id, request_state = entry[0], entry[1]
+            trace_ctx = entry[2] if len(entry) > 2 else None
+            request = JobRequest.from_dict(request_state)
+            recorder.set_inflight(
+                job=job_id, workload=request.workload, bar=request.bar,
+                threshold=request.threshold, events=request.events,
+            )
+            if index == 0:
+                emit({"op": "batch_start", "worker": worker_id,
+                      "batch": message["batch"]})
+            outcome = execute_request(
+                request,
+                job_id=job_id,
+                trace_ctx=trace_ctx,
+                cache_root=cache_root,
+                store_profile=store_profile,
+            )
+            emit({"op": "job", "worker": worker_id, "job": job_id,
+                  "outcome": outcome})
+    finally:
+        recorder.clear_inflight()
     emit({"op": "batch_done", "worker": worker_id, "batch": message["batch"]})
 
 

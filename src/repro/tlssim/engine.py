@@ -68,6 +68,7 @@ from repro.ir.decode import (
     DecodedProgram,
 )
 
+from repro.ir.evalops import eval_binop, eval_unop
 from repro.ir.instructions import (
     Alloc,
     BinOp,
@@ -86,7 +87,7 @@ from repro.ir.instructions import (
     UnOp,
     Wait,
 )
-from repro.ir.interpreter import Frame, _CalleeMissing, eval_binop, eval_unop
+from repro.ir.interpreter import Frame, _CalleeMissing
 from repro.ir.loops import LoopForest
 from repro.ir.memimage import MemoryImage
 from repro.ir.module import Module, ParallelLoop

@@ -10,7 +10,7 @@ from repro.compiler.memdep.graph import group_dependences
 from repro.compiler.memdep.profiler import profile_dependences
 from repro.compiler.memdep.sync_insertion import insert_memory_sync
 from repro.ir.builder import ModuleBuilder
-from repro.ir.instructions import Check, Load, Resume, Select, Signal, Store, Wait
+from repro.ir.instructions import Load, Signal, Store, Wait
 from repro.ir.interpreter import run_module
 from repro.ir.module import ParallelLoop
 from repro.ir.operands import Reg
@@ -367,35 +367,3 @@ class TestRegisterMinting:
         assert text == reference
         assert sum(s for s, _f in per_pass) < sum(s for s, _f in reference_passes)
 
-
-class TestFastProfiler:
-    """The interned-context fast path must match the reference hooks."""
-
-    def test_equal_profiles_on_freelist(self):
-        module = freelist_module()
-        fast = profile_dependences(module)
-        slow = profile_dependences(module, fast=False)
-        assert fast == slow
-
-    def test_equal_profiles_with_rare_contexts(self):
-        module = freelist_module(iters=90, use_rate=3)
-        fast = profile_dependences(module)
-        slow = profile_dependences(module, fast=False)
-        assert fast == slow
-
-    def test_equal_profiles_on_real_workload(self):
-        from repro.experiments.runner import bundle_for
-
-        module = bundle_for("go").compiled.baseline
-        assert profile_dependences(module) == profile_dependences(
-            module, fast=False
-        )
-
-    def test_context_handle_hooks_need_fast_path(self):
-        from repro.compiler.memdep.profiler import _FastDependenceHooks
-        from repro.ir.interpreter import Interpreter, InterpreterError
-
-        module = freelist_module()
-        hooks = _FastDependenceHooks({})
-        with pytest.raises(InterpreterError, match="fast path"):
-            Interpreter(module, hooks=hooks, fast_path=False).run()

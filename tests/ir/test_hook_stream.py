@@ -7,7 +7,7 @@ pins the full stream of ``on_region_enter``, ``on_epoch_start``,
 ``on_load``, ``on_store`` and ``on_region_exit`` calls (a memory access
 as its iid, call-stack tuple, address, value and epoch), followed by
 the run's step count and return value, to its digest in
-``tests/golden/hooks.json``.  Both interpreter paths must produce it.
+``tests/golden/hooks.json``.
 """
 
 import pytest
@@ -40,9 +40,9 @@ class _StreamHooks(Hooks):
         self.calls.append(("exit", function, header, epochs))
 
 
-def _stream(module, fast_path):
+def _stream(module):
     hooks = _StreamHooks()
-    result = Interpreter(module, hooks=hooks, fast_path=fast_path).run()
+    result = Interpreter(module, hooks=hooks).run()
     hooks.calls.append(("end", result.steps, result.return_value))
     return repr(hooks.calls).encode()
 
@@ -51,6 +51,4 @@ def _stream(module, fast_path):
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_hook_stream_matches_golden(name, program, hook_digests):
     module = getattr(bundle_for(name).compiled, program)
-    decoded = _stream(module, fast_path=True)
-    assert _stream(module, fast_path=False) == decoded
-    hook_digests(f"{name}/{program}", decoded)
+    hook_digests(f"{name}/{program}", _stream(module))

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.ir.builder import ModuleBuilder
+from repro.ir.evalops import eval_binop, eval_unop
 from repro.ir.interpreter import (
     Hooks,
     Interpreter,
     InterpreterError,
-    eval_binop,
-    eval_unop,
     run_module,
 )
 from repro.ir.memimage import NullDereference

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from repro.ir.builder import ModuleBuilder
 from repro.ir.cfg import CFG
 from repro.ir.dominators import DominatorTree
-from repro.ir.interpreter import MASK, eval_binop, run_module
+from repro.ir.evalops import MASK, eval_binop
+from repro.ir.interpreter import run_module
 from repro.ir.loops import LoopForest
 from repro.ir.parser import parse_module
 from repro.ir.printer import format_module
