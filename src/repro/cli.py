@@ -868,8 +868,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=2,
-        help="persistent worker processes; 0 runs jobs on daemon "
-        "threads (default 2)",
+        help="persistent worker processes; 0 runs jobs one at a time "
+        "on a daemon thread (default 2)",
     )
     serve_parser.add_argument(
         "--queue-size", type=int, default=64,

@@ -16,19 +16,13 @@ Two layers live here, both independent of *how* jobs execute:
   per key (at most one worker runs a key at a time, so N concurrent
   requests for one cold workload trigger exactly one compile), and
   graceful drain (:class:`SchedulerDrained` maps to HTTP 503).
-  :class:`SingleFlight` / :class:`ReadThroughCache` are the in-process
-  equivalents for threaded executors: concurrent loads of one key
-  coalesce onto a single leader, followers share its result.
 
-The scheduler is not thread-safe by itself beyond what is documented:
-:class:`JobScheduler` expects a single coordinating thread (the
-daemon's event loop); :class:`SingleFlight` and
-:class:`ReadThroughCache` are safe to call from any thread.
+:class:`JobScheduler` is not thread-safe: it expects a single
+coordinating thread (the daemon's event loop).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -41,8 +35,6 @@ __all__ = [
     "QueueFull",
     "SchedulerDrained",
     "JobScheduler",
-    "SingleFlight",
-    "ReadThroughCache",
 ]
 
 
@@ -278,98 +270,3 @@ class JobScheduler:
     def idle(self) -> bool:
         """True when nothing is queued and nothing is leased."""
         return self._queued == 0 and not self._leased
-
-
-# ---------------------------------------------------------------------------
-# single-flight loads for threaded executors
-# ---------------------------------------------------------------------------
-
-
-class _Flight:
-    __slots__ = ("done", "value", "error")
-
-    def __init__(self):
-        self.done = threading.Event()
-        self.value = None
-        self.error: Optional[BaseException] = None
-
-
-class SingleFlight:
-    """Coalesce concurrent calls per key onto a single leader.
-
-    ``do(key, fn)`` runs ``fn`` in exactly one of the callers that
-    race on ``key``; the rest block until the leader finishes and then
-    share its return value (or re-raise its exception).  Flights are
-    not memoized — once a flight lands, the next call starts a new one.
-    Layer :class:`ReadThroughCache` on top for memoization.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._flights: Dict[Hashable, _Flight] = {}
-
-    def do(self, key: Hashable, fn):
-        with self._lock:
-            flight = self._flights.get(key)
-            leader = flight is None
-            if leader:
-                flight = _Flight()
-                self._flights[key] = flight
-        if not leader:
-            flight.done.wait()
-            if flight.error is not None:
-                raise flight.error
-            return flight.value
-        try:
-            flight.value = fn()
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            with self._lock:
-                del self._flights[key]
-            flight.done.set()
-        return flight.value
-
-
-class ReadThroughCache:
-    """Memoizing read-through cache with single-flight loads.
-
-    ``get(key, loader)`` returns the cached value when present;
-    otherwise exactly one concurrent caller runs ``loader`` and every
-    waiter shares the result.  A loader that raises caches nothing —
-    the next call retries.
-    """
-
-    def __init__(self):
-        self._values: Dict[Hashable, object] = {}
-        self._lock = threading.Lock()
-        self._flight = SingleFlight()
-
-    def get(self, key: Hashable, loader):
-        with self._lock:
-            if key in self._values:
-                return self._values[key]
-
-        def _fill():
-            with self._lock:
-                if key in self._values:
-                    return self._values[key]
-            value = loader()
-            with self._lock:
-                self._values[key] = value
-            return value
-
-        return self._flight.do(key, _fill)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._values
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._values)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._values.clear()

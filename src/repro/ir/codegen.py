@@ -37,7 +37,7 @@ Exactness contract
 ------------------
 
 Extended kernels are byte-identical twins of the engine's tuple loops
-(`_run_turn` / `_run_sequential_fast`), op for op:
+(`_run_turn` / `_run_sequential`), op for op:
 
 * Shared-state operations synchronize on the horizon with the same
   ``(clock, logical)`` comparison before executing, bail out with the

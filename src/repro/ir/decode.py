@@ -1,17 +1,18 @@
 """One-time lowering of IR instructions into pre-resolved dispatch tuples.
 
-Both execution engines normally walk ``Instruction`` objects and pay an
-``isinstance`` chain, operand-kind dispatch and an operator-string
-lookup for *every dynamic instruction*.  The decode pass pays those
+Walking ``Instruction`` objects (as the engine's per-op region oracle
+still does) pays an ``isinstance`` chain, operand-kind dispatch and an
+operator-string lookup for *every dynamic instruction*.  The decode pass pays those
 costs once per *static* instruction instead, producing flat tuples::
 
     (opcode, dt, instr, ...operands)
 
 * ``opcode`` is a small int dispatched with integer comparisons;
 * ``dt`` is the pre-divided clock charge (``latency / issue_width``,
-  computed with exactly the float operations the slow path performs, so
-  accumulated clocks stay bit-identical); memory instructions carry
-  ``0.0`` because their latency comes from the cache model at run time;
+  computed with exactly the float operations the slow region scheduler
+  performs, so accumulated clocks stay bit-identical); memory
+  instructions carry ``0.0`` because their latency comes from the cache
+  model at run time;
 * ``instr`` is the original instruction (needed for iids, hook
   callbacks and error messages);
 * operands are encoded as ``int`` for compile-time-known values

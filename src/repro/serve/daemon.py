@@ -96,8 +96,6 @@ class ServeConfig:
     queue_size: int = 64
     #: max same-key jobs leased to a worker in one batch.
     batch_limit: int = 8
-    #: threads for the inline (``workers=0``) pool.
-    inline_threads: int = 2
     #: completed job records kept for status/result queries.
     retain_jobs: int = 1024
     cache_enabled: bool = True
@@ -203,7 +201,6 @@ class Daemon:
             self._threadsafe_on_message,
             cache_enabled=self.config.cache_enabled,
             cache_root=self.config.cache_root,
-            inline_threads=self.config.inline_threads,
             log_state=log_mod.config_state(),
         )
         self._pool.start()

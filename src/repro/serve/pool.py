@@ -1,13 +1,13 @@
 """Persistent warm workers for the serve daemon.
 
-A worker is a long-lived process (or, for ``workers=0``, a thread in
-the daemon process) that executes batches of jobs for one
-(workload, threshold) key at a time.  Workers keep the
-:mod:`repro.experiments.runner` bundle memo hot: the first job for a
-key loads the compiled artifact (or compiles and stores it) and every
-later job reuses the in-memory modules, decoded programs, and oracle —
-the whole point of serving from a daemon instead of re-spawning the
-batch pipeline.
+A worker is a long-lived process (or, for ``workers=0``, the one
+thread of the inline pool in the daemon process) that executes
+batches of jobs for one (workload, threshold) key at a time.  Workers
+keep the :mod:`repro.experiments.runner` bundle memo hot: the first
+job for a key loads the compiled artifact (or compiles and stores it)
+and every later job reuses the in-memory modules, decoded programs,
+and oracle — the whole point of serving from a daemon instead of
+re-spawning the batch pipeline.
 
 Counter discipline: artifact-store hit/fallback counters are
 snapshotted around **every job** and the delta ships back in that
@@ -47,7 +47,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments import runner
-from repro.experiments.scheduler import ReadThroughCache
 from repro.obs import flightrec
 from repro.obs import log as log_mod
 from repro.obs import spans as spans_mod
@@ -58,26 +57,6 @@ SOURCE_MEMO = "memo"        # served from the worker's warm bundle memo
 SOURCE_CACHE = "cache"      # served from the persistent store
 SOURCE_COMPUTED = "computed"  # simulated fresh in the worker
 SOURCE_TRACED = "traced"    # live traced run (events requested)
-
-#: single-flight guard for bundle warm-up in threaded (inline) pools;
-#: process workers each have their own copy, trivially uncontended.
-_WARM_BUNDLES = ReadThroughCache()
-
-
-def _warm_bundle(workload: str, threshold: float):
-    """Get the (lazily compiled) bundle, single-flight per key.
-
-    Concurrent inline-pool threads that race on one cold key coalesce
-    here: exactly one compiles (or loads the artifact), the rest share
-    the warmed bundle.
-    """
-    def _load():
-        bundle = runner.bundle_for(workload, threshold)
-        bundle.compiled  # force the compile/artifact load once
-        return bundle
-
-    return _WARM_BUNDLES.get((workload, threshold), _load)
-
 
 def _profile_path(job_id: str, cache_root: Optional[str]) -> str:
     """Where a profiled job's pstats dump lands (under the store root)."""
@@ -127,9 +106,10 @@ def execute_request(
                 from repro.tlssim.config import SimConfig
 
                 with spans_mod.span("bundle.warm", component="worker"):
-                    bundle = _warm_bundle(
+                    bundle = runner.bundle_for(
                         request.workload, request.threshold
                     )
+                    bundle.compiled  # compile or load the artifact
                 # Machine-model overrides and predictor selection
                 # ride in on the base config; the memo/disk keys
                 # keep every distinct configuration separate so
@@ -383,18 +363,19 @@ class ProcessPool:
 
 
 class InlinePool:
-    """Thread-based pool executing jobs in the daemon process.
+    """One worker thread executing jobs in the daemon process.
 
     Used by ``--workers 0`` (tests, tiny deployments): same message
-    protocol as :class:`ProcessPool`, but jobs run on daemon-process
-    threads, sharing its bundle memo and persistent stores directly.
-    The single-flight bundle warm-up (:func:`_warm_bundle`) keeps
-    concurrent threads from compiling one key twice.
+    protocol as :class:`ProcessPool`, but jobs run on one
+    daemon-process thread, sharing its bundle memo and persistent
+    stores directly.  One thread, because compiles number
+    instructions from a process-wide id counter
+    (:class:`repro.ir.basicblock.deterministic_iids`): two compiles
+    running at once would interleave their ids.
     """
 
     def __init__(
         self,
-        workers: int,
         on_message: Callable[[Dict], None],
         cache_enabled: bool = True,
         cache_root: Optional[str] = None,
@@ -403,7 +384,7 @@ class InlinePool:
         #: jobs bump the daemon's own artifact counters directly — the
         #: daemon must not merge the per-job deltas a second time.
         self.external_state = False
-        self.size = max(1, workers)
+        self.size = 1
         self._on_message = on_message
         self._cache_enabled = cache_enabled
         self._cache_root = cache_root
@@ -415,12 +396,12 @@ class InlinePool:
         runner.load_compute_stack()
         log_mod.apply_state(self._log_state)
         self._executor = ThreadPoolExecutor(
-            max_workers=self.size, thread_name_prefix="repro-serve-inline"
+            max_workers=1, thread_name_prefix="repro-serve-inline"
         )
 
     def pids(self) -> List[int]:
         """Inline workers share the daemon process."""
-        return [os.getpid()] * self.size
+        return [os.getpid()]
 
     def submit(self, worker_id: int, message: Dict) -> None:
         if self._executor is None:
@@ -440,7 +421,6 @@ def make_pool(
     on_message: Callable[[Dict], None],
     cache_enabled: bool = True,
     cache_root: Optional[str] = None,
-    inline_threads: int = 2,
     log_state: Optional[Dict] = None,
 ):
     """``workers >= 1`` -> process pool; ``workers == 0`` -> inline."""
@@ -451,7 +431,7 @@ def make_pool(
             log_state=log_state,
         )
     return InlinePool(
-        inline_threads, on_message,
+        on_message,
         cache_enabled=cache_enabled, cache_root=cache_root,
         log_state=log_state,
     )

@@ -287,9 +287,11 @@ class SimConfig:
     max_region_steps: int = 100_000_000
 
     # ---- simulator implementation (no effect on simulated results) ------
-    #: Use the decoded-dispatch / block-batching / event-heap execution
-    #: layer.  Results are byte-identical to the slow path; this flag
-    #: exists so equivalence tests and benchmarks can compare the two.
+    #: Run parallelized regions on the decoded-dispatch /
+    #: block-batching / event-heap scheduler; ``False`` runs them on
+    #: the per-op slow scheduler, the oracle.  Code between regions
+    #: runs the decoded tuples either way.  Results are byte-identical;
+    #: this flag exists so equivalence tests can compare the two.
     fast_path: bool = True
     #: Execution backend for the decoded fast path: ``"tuples"`` (the
     #: reference per-op dispatch loop) or ``"vector"`` (region-lowered

@@ -91,7 +91,7 @@ from repro.ir.interpreter import Frame, _CalleeMissing
 from repro.ir.loops import LoopForest
 from repro.ir.memimage import MemoryImage
 from repro.ir.module import Module, ParallelLoop
-from repro.ir.operands import GlobalRef, Imm, Reg
+from repro.ir.operands import GlobalRef, Imm
 from repro.obs.bus import EventBus
 from repro.obs.registry import engine_counters
 from repro.tlssim.cache import CacheHierarchy
@@ -248,19 +248,16 @@ class TLSEngine:
         #: p50/p95/p99 gauges engine_counters derives; stalls are rare
         #: events, so the list stays small and off the hot path.
         self._stall_samples: List[float] = []
+        #: False = regions run on the per-op scheduler (the oracle);
+        #: sequential code always runs the decoded program.
         self.fast = bool(self.config.fast_path)
-        self._decoded: Optional[DecodedProgram] = (
-            DecodedProgram(module, self.memory.addr_of, self._dt_of)
-            if self.fast
-            else None
-        )
         #: resolved execution backend ("tuples" unless the vector
         #: backend was requested *and* is available here); fused-region
         #: counters only feed coverage figures, like ``instructions``.
         self.backend = "tuples"
         self.fused_instructions = 0
         self.fused_regions = 0
-        self._program = self._decoded
+        self._program = DecodedProgram(module, self.memory.addr_of, self._dt_of)
         #: function name -> decoded/lowered blocks dict; lazily filled
         #: flat cache so the hot loops pay one dict lookup per function
         #: switch instead of a method call per block fetch.
@@ -271,7 +268,7 @@ class TLSEngine:
             reason = lower_mod.unavailable_reason(self.config)
             if reason is None:
                 self._program = lower_mod.lowered_for(
-                    self._decoded, self.config
+                    self._program, self.config
                 )
                 self.backend = "vector"
             else:
@@ -336,10 +333,7 @@ class TLSEngine:
                 block=entry.entry_label,
             )
         ]
-        if self.fast:
-            return_value = self._run_sequential_fast(frames)
-        else:
-            return_value = self._run_sequential(frames)
+        return_value = self._run_sequential(frames)
         region_cycles = sum(r.cycles for r in self.regions)
         return SimResult(
             return_value=return_value,
@@ -354,35 +348,18 @@ class TLSEngine:
     # sequential execution (core 0), with region hand-off
     # ------------------------------------------------------------------
 
-    def _charge(self, latency: float) -> None:
-        self.clock += latency / self.config.issue_width
-
     def _dt_of(self, instr) -> float:
         """Pre-divided clock charge for the decode pass.
 
         Memory instructions carry 0.0: their latency comes from the
         cache model at execution time.  The division happens here, once
         per static instruction, with exactly the float operation
-        ``_charge`` performs, so accumulated clocks stay bit-identical.
+        :meth:`_RegionExecution._charge` performs, so accumulated clocks
+        stay bit-identical between the two region schedulers.
         """
         if isinstance(instr, (Load, Store)):
             return 0.0
         return instruction_latency(self.config, instr) / self.config.issue_width
-
-    def _value(self, frame: Frame, operand) -> int:
-        if isinstance(operand, Imm):
-            return operand.value
-        if isinstance(operand, GlobalRef):
-            return self.memory.addr_of(operand.name)
-        if isinstance(operand, Reg):
-            try:
-                return frame.regs[operand.name]
-            except KeyError:
-                raise EngineError(
-                    f"{frame.function_name}: read of undefined register "
-                    f"%{operand.name}"
-                ) from None
-        raise EngineError(f"bad operand {operand!r}")
 
     def _close_seq_region(self) -> None:
         """Record a sequentially-executed region (baseline runs)."""
@@ -402,156 +379,15 @@ class TLSEngine:
         self._seq_region = None
 
     def _run_sequential(self, frames: List[Frame]) -> Optional[int]:
-        module = self.module
-        config = self.config
-        return_value: Optional[int] = None
-        steps = 0
-        while frames:
-            frame = frames[-1]
-            block = module.function(frame.function_name).block(frame.block)
-            instr = block.instructions[frame.index]
-            steps += 1
-            if steps > config.max_region_steps:
-                raise EngineError("sequential fuel exhausted")
+        """Run code outside parallelized regions on core 0.
 
-            if isinstance(instr, Const):
-                frame.regs[instr.dest.name] = instr.value
-                self._charge(instruction_latency(config, instr))
-                frame.index += 1
-            elif isinstance(instr, Move):
-                frame.regs[instr.dest.name] = self._value(frame, instr.src)
-                self._charge(instruction_latency(config, instr))
-                frame.index += 1
-            elif isinstance(instr, BinOp):
-                frame.regs[instr.dest.name] = eval_binop(
-                    instr.op,
-                    self._value(frame, instr.lhs),
-                    self._value(frame, instr.rhs),
-                )
-                self._charge(instruction_latency(config, instr))
-                frame.index += 1
-            elif isinstance(instr, UnOp):
-                frame.regs[instr.dest.name] = eval_unop(
-                    instr.op, self._value(frame, instr.src)
-                )
-                self._charge(instruction_latency(config, instr))
-                frame.index += 1
-            elif isinstance(instr, Load):
-                addr = self._value(frame, instr.addr) + instr.offset
-                value = self.memory.load(addr)
-                frame.regs[instr.dest.name] = value
-                if self.obs is not None:
-                    self.obs.now = self.clock
-                self._charge(self.caches.access(0, self.caches.line_of(addr)))
-                frame.index += 1
-            elif isinstance(instr, Store):
-                addr = self._value(frame, instr.addr) + instr.offset
-                self.memory.store(addr, self._value(frame, instr.value))
-                if self.obs is not None:
-                    self.obs.now = self.clock
-                self._charge(self.caches.access(0, self.caches.line_of(addr)))
-                frame.index += 1
-            elif isinstance(instr, Alloc):
-                frame.regs[instr.dest.name] = self.memory.alloc(
-                    self._value(frame, instr.size)
-                )
-                self._charge(instruction_latency(config, instr))
-                frame.index += 1
-            elif isinstance(instr, Call):
-                callee = module.function(instr.callee)
-                values = [self._value(frame, a) for a in instr.args]
-                self._charge(instruction_latency(config, instr))
-                frames.append(
-                    Frame(
-                        function_name=instr.callee,
-                        regs={p.name: v for p, v in zip(callee.params, values)},
-                        block=callee.entry_label,
-                        call_instr=instr,
-                    )
-                )
-            elif isinstance(instr, Ret):
-                value = (
-                    self._value(frame, instr.value)
-                    if instr.value is not None
-                    else None
-                )
-                self._charge(instruction_latency(config, instr))
-                if (
-                    self._seq_region is not None
-                    and len(frames) == self._seq_region[1]
-                ):
-                    self._close_seq_region()
-                frames.pop()
-                if frames:
-                    caller = frames[-1]
-                    call = module.function(caller.function_name).block(
-                        caller.block
-                    ).instructions[caller.index]
-                    if call.dest is not None:
-                        if value is None:
-                            raise EngineError(
-                                f"void return into %{call.dest.name}"
-                            )
-                        caller.regs[call.dest.name] = value
-                    caller.index += 1
-                else:
-                    return_value = value
-            elif isinstance(instr, (Jump, CondBr)):
-                if isinstance(instr, Jump):
-                    target = instr.target
-                else:
-                    cond = self._value(frame, instr.cond)
-                    target = instr.true_target if cond else instr.false_target
-                self._charge(instruction_latency(config, instr))
-                # Sequential-baseline region tracking: close the open
-                # region when control leaves its loop blocks.
-                if (
-                    self._seq_region is not None
-                    and len(frames) == self._seq_region[1]
-                    and target not in self._seq_region[0].blocks
-                ):
-                    self._close_seq_region()
-                info = self._loop_infos.get((frame.function_name, target))
-                if info is not None and self._seq_region is None:
-                    if self.parallel:
-                        _RegionExecution(self, frame, info).execute()
-                        continue
-                    self._seq_region = (info, len(frames), self.clock)
-                frame.block = target
-                frame.index = 0
-            elif isinstance(instr, Wait):
-                # Sequential semantics: a scalar wait's destination is
-                # the communicating scalar itself, which already holds
-                # the previous iteration's value — preserve it.
-                frame.regs[instr.dest.name] = frame.regs.get(instr.dest.name, 0)
-                self._charge(instruction_latency(config, instr))
-                frame.index += 1
-            elif isinstance(instr, Signal):
-                self._charge(instruction_latency(config, instr))
-                frame.index += 1
-            elif isinstance(instr, Check):
-                self._charge(instruction_latency(config, instr))
-                frame.index += 1
-            elif isinstance(instr, Select):
-                frame.regs[instr.dest.name] = self._value(frame, instr.m_value)
-                self._charge(instruction_latency(config, instr))
-                frame.index += 1
-            elif isinstance(instr, Resume):
-                self._charge(instruction_latency(config, instr))
-                frame.index += 1
-            else:
-                raise EngineError(f"cannot execute {type(instr).__name__}")
-        self.instructions += steps
-        return return_value
-
-    def _run_sequential_fast(self, frames: List[Frame]) -> Optional[int]:
-        """Decoded-dispatch twin of :meth:`_run_sequential`.
-
-        Identical observable behavior (clock, memory, regions, errors);
-        the only differences are pre-resolved operands and integer
-        opcode dispatch.  The engine clock is mirrored into a local for
-        the duration and written back on every region hand-off and on
-        exit (including error exits).
+        Dispatches the decoded program (integer opcodes, pre-resolved
+        operands) for both ``fast_path`` values: only region execution
+        has a per-op oracle twin.  The engine clock is mirrored into a
+        local for the duration and written back on every region
+        hand-off and on exit; on any exit, error exits included, the
+        executed steps (the one that broke the budget too) are added to
+        ``instructions``.
         """
         config = self.config
         dprog = self._program

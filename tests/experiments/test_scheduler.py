@@ -2,12 +2,9 @@
 
 Covers the DAG extracted from the batch runner (ordering, compile
 sharing, grouping) and the service layer the daemon builds on:
-admission control, same-key batching, single-flight key leases,
-drain-with-inflight-jobs, and the SingleFlight/ReadThroughCache
-concurrency primitives.
+admission control, same-key batching, single-flight key leases and
+drain-with-inflight-jobs.
 """
-
-import threading
 
 import pytest
 
@@ -16,9 +13,7 @@ from repro.experiments.scheduler import (
     JobScheduler,
     JobSpec,
     QueueFull,
-    ReadThroughCache,
     SchedulerDrained,
-    SingleFlight,
     spec_id,
 )
 
@@ -177,85 +172,3 @@ def test_scheduler_complete_requires_lease():
     scheduler = JobScheduler()
     with pytest.raises(KeyError):
         scheduler.complete("nope")
-
-
-# ---------------------------------------------------------------------------
-# SingleFlight / ReadThroughCache
-# ---------------------------------------------------------------------------
-
-
-def test_single_flight_coalesces_concurrent_calls():
-    flight = SingleFlight()
-    gate = threading.Event()
-    started = threading.Event()
-    calls = []
-    results = []
-
-    def loader():
-        calls.append(1)
-        started.set()
-        gate.wait(5.0)
-        return "value"
-
-    def worker():
-        results.append(flight.do("key", loader))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    threads[0].start()
-    assert started.wait(5.0)  # the leader is inside loader
-    for thread in threads[1:]:
-        thread.start()
-    gate.set()
-    for thread in threads:
-        thread.join(5.0)
-    assert len(calls) == 1  # exactly one compile for 8 racers
-    assert results == ["value"] * 8
-
-
-def test_single_flight_propagates_leader_error_then_retries():
-    flight = SingleFlight()
-
-    def boom():
-        raise RuntimeError("compile failed")
-
-    with pytest.raises(RuntimeError):
-        flight.do("key", boom)
-    # Flights are not memoized: the next call runs fresh.
-    assert flight.do("key", lambda: 42) == 42
-
-
-def test_read_through_cache_single_flight_then_memo():
-    cache = ReadThroughCache()
-    gate = threading.Event()
-    calls = []
-    results = []
-
-    def loader():
-        calls.append(1)
-        gate.wait(5.0)
-        return "bundle"
-
-    def worker():
-        results.append(cache.get("key", loader))
-
-    threads = [threading.Thread(target=worker) for _ in range(6)]
-    for thread in threads:
-        thread.start()
-    gate.set()
-    for thread in threads:
-        thread.join(5.0)
-    assert len(calls) == 1
-    assert results == ["bundle"] * 6
-    assert "key" in cache and len(cache) == 1
-    # Memoized: later calls never invoke the loader again.
-    assert cache.get("key", lambda: "other") == "bundle"
-    cache.clear()
-    assert cache.get("key", lambda: "other") == "other"
-
-
-def test_read_through_cache_retries_after_loader_failure():
-    cache = ReadThroughCache()
-    with pytest.raises(ValueError):
-        cache.get("k", lambda: (_ for _ in ()).throw(ValueError("nope")))
-    assert "k" not in cache
-    assert cache.get("k", lambda: 7) == 7

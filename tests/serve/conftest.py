@@ -11,7 +11,6 @@ import pytest
 from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments import runner
-from repro.serve import pool as pool_mod
 from repro.serve.daemon import EmbeddedDaemon, ServeConfig
 
 
@@ -34,9 +33,7 @@ def fresh_warm_state():
     """
     saved = dict(runner._BUNDLES)
     runner._BUNDLES.clear()
-    pool_mod._WARM_BUNDLES.clear()
     yield
-    pool_mod._WARM_BUNDLES.clear()
     runner._BUNDLES.clear()
     runner._BUNDLES.update(saved)
 

@@ -14,8 +14,10 @@ import time
 
 import pytest
 
+from repro.compiler.pipeline import compile_workload
 from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import trace as trace_mod
+from repro.experiments.payloads import compiled_to_state
 from repro.experiments.runner import bundle_for
 from repro.serve.client import (
     DaemonDraining,
@@ -30,7 +32,7 @@ from repro.serve.protocol import (
     canonical_events_bytes,
     canonical_result_bytes,
 )
-from repro.workloads.base import unknown_workload_error
+from repro.workloads.base import get_workload, unknown_workload_error
 
 #: The figure-10 bar sample (tests/smoke/test_serve_smoke.py pins the
 #: same bars against a real ``repro serve`` process).
@@ -159,6 +161,34 @@ def test_concurrent_cold_submits_compile_once(daemon_url):
     with ServeClient(daemon_url) as client:
         payloads = {client.result_bytes(s["job"]) for s in statuses}
     assert len(payloads) == 1
+
+
+def test_inline_pool_compiles_distinct_cold_keys_deterministically(
+    daemon_url,
+):
+    """Two cold keys submitted together to the inline pool compile to
+    exactly what a serial ``compile_workload`` produces.
+
+    Compiles number instructions from one process-wide id counter, so
+    two compiles running on daemon threads at once would interleave
+    their ids (or fail outright on a missing id).
+    """
+    workloads = ("go", "gcc")
+    with ServeClient(daemon_url) as client:
+        jobs = [
+            client.submit(JobRequest(workload=name, bar="U"))
+            for name in workloads
+        ]
+        statuses = [client.wait(job, timeout=180.0) for job in jobs]
+    for status in statuses:
+        assert status["state"] == DONE, status.get("error")
+    for name in workloads:
+        served = compiled_to_state(bundle_for(name).compiled)
+        workload = get_workload(name)
+        serial = compile_workload(
+            name, workload.build, workload.train_input, workload.ref_input,
+        )
+        assert served == compiled_to_state(serial), name
 
 
 def test_queue_full_maps_to_429(make_daemon):

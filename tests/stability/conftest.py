@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import metrics as metrics_mod
+from repro.experiments import runner
 
 
 @pytest.fixture(autouse=True)
@@ -19,6 +20,21 @@ def isolated_stores(tmp_path, monkeypatch):
     artifacts_mod.configure(False)
     artifacts_mod.reset_counters()
     metrics_mod.reset()
+
+
+@pytest.fixture(autouse=True)
+def cold_bundles():
+    """Cold bundle memo per test, restored afterwards.
+
+    Process workers fork from the test process: a bundle that an
+    earlier in-process soak warmed would reach them already compiled,
+    and their first answer would come from the memo, not a compute.
+    """
+    saved = dict(runner._BUNDLES)
+    runner._BUNDLES.clear()
+    yield
+    runner._BUNDLES.clear()
+    runner._BUNDLES.update(saved)
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
 """Fast/slow path event-stream equivalence (the obs acceptance gate).
 
 The observability bus must not break the fast path's invisibility:
-with a collector attached, the slow path (object-walking scheduler)
-and the fast path (decoded dispatch + event heap) must emit identical
-event streams for the same program and config.  These tests pin that
-for every workload under every bar label — the epoch-lifecycle subset
-byte-identical as the hard acceptance criterion, and in fact the full
-stream (forwarding, cache, hwsync, prediction events included), which
-currently holds and is asserted too so any future reordering is loud.
+with a collector attached, the slow path (the object-walking region
+scheduler) and the fast path (decoded dispatch + event heap) must
+emit identical event streams for the same program and config.  These
+tests pin that for every workload under every bar label — the
+epoch-lifecycle subset byte-identical as the hard acceptance
+criterion, and in fact the full stream (forwarding, cache, hwsync,
+prediction events included), which currently holds and is asserted
+too so any future reordering is loud.  Both paths run code between
+regions on the one decoded sequential loop, so the cache events
+emitted there come from one runner on both sides.
 
 Same matrix rationale as ``test_fastpath.py``: each scheme family
 exercises a different engine subsystem and therefore different

@@ -13,7 +13,11 @@ match exactly.
 The matrix deliberately spans every scheme family because each one
 exercises a different engine subsystem: U/O squash-heavy speculation,
 C/T/B/E/L the wait/signal forwarding and signal address buffer, H/P
-the hardware sync table and value predictor, SEQ the sequential loop.
+the hardware sync table and value predictor.  Code between regions
+runs the one decoded sequential loop under both ``fast_path`` values,
+so SEQ checks the vector backend's ``_seq`` kernels against that
+tuple loop; the golden digests (``tests/golden/results.json``) pin
+the tuple loop itself.
 
 The slow run of each cell comes from the session's ``slow_runs``
 memo, so it is the bus-attached run ``test_event_stream.py`` also
