@@ -14,6 +14,7 @@ def make_counted_loop(
     mem_channels=(),
     globals_spec=(),
     filler=0,
+    verify=True,
 ):
     """A hand-transformed parallel loop.
 
@@ -21,6 +22,8 @@ def make_counted_loop(
     its memory accesses sit early in the epoch), followed by ``filler``
     straight-line ALU instructions; the induction variable ``i`` is
     communicated with an early signal (the scheduled form).
+    ``verify=False`` skips the verifier, for fault tests that call an
+    unknown function.
     """
     mb = ModuleBuilder("t")
     for name, size, init in globals_spec:
@@ -59,7 +62,8 @@ def make_counted_loop(
         )
     for channel in mem_channels:
         module.add_channel(ChannelInfo(name=channel, kind="mem"))
-    verify_module(module)
+    if verify:
+        verify_module(module)
     return module
 
 

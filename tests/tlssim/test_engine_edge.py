@@ -12,6 +12,18 @@ from repro.tlssim.sequential import simulate_tls
 from tests.tlssim.conftest import make_counted_loop
 
 
+def _both_paths(module, config=None):
+    """Simulate ``module`` on both ``fast_path`` values; the per-op
+    scheduler and the turn loop must agree on every park and restart."""
+    config = config or SimConfig()
+    fast, slow = (
+        simulate_tls(module, config=config.with_mode(fast_path=fast_path))
+        for fast_path in (True, False)
+    )
+    assert fast.to_state() == slow.to_state()
+    return fast
+
+
 class TestSpeculativeFaults:
     def test_speculative_division_fault_heals(self):
         """A div-by-zero caused by a stale speculative value parks the
@@ -31,7 +43,7 @@ class TestSpeculativeFaults:
             iters=20, body=body, globals_spec=[("divisor", 1, 1)], filler=30
         )
         reference = run_module(module)
-        result = simulate_tls(module)
+        result = _both_paths(module)
         assert result.return_value == reference.return_value
 
     def test_null_in_speculative_tail_is_survivable(self):
@@ -57,7 +69,7 @@ class TestSpeculativeFaults:
             globals_spec=[("ptrs", 32, None), ("scratch", 8, None)],
             filler=20,
         )
-        result = simulate_tls(module)
+        result = _both_paths(module)
         assert result.regions[0].epochs_committed == 20
 
     def test_runaway_speculative_loop_is_parked_and_squashed(self):
@@ -80,7 +92,7 @@ class TestSpeculativeFaults:
             iters=8, body=body, globals_spec=[("bound", 1, 3)], filler=10
         )
         config = SimConfig().with_mode(max_epoch_steps=2000)
-        result = TLSEngine(module, config=config).run()
+        result = _both_paths(module, config)
         assert result.regions[0].epochs_committed == 8
 
 
