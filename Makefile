@@ -16,7 +16,9 @@ test:
 lint:
 	ruff check src tests examples setup.py
 
+# lint + test, then the benchmark's helper tests, as the CI workflow does
 ci: lint test
+	$(PY) -m pytest perfbench -q
 
 # Simulation-as-a-service daemon (docs/serving.md).
 PORT ?= 8765

@@ -6,7 +6,7 @@ format; the CLI (``python -m repro report``) writes it to a file so the
 document can be regenerated after any change.
 
 With ``jobs > 1`` the simulation matrix behind the selected sections
-is first executed by the parallel DAG runner
+is first executed by the parallel runner
 (:func:`repro.experiments.runner.execute_plan`); the sections then
 render serially from the seeded memos, so the emitted document is
 byte-identical to a serial run.
@@ -139,7 +139,7 @@ def generate_report(
 
     ``workloads`` restricts the benchmark set; ``sections`` filters by
     (case-insensitive substring of) section title; ``jobs != 1`` runs
-    the simulation matrix through the parallel DAG runner first
+    the simulation matrix through the parallel runner first
     (rendering is unchanged, so output is byte-identical).
     """
     names = list(workloads) if workloads else [w.name for w in all_workloads()]

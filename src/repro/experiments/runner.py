@@ -12,15 +12,15 @@ at three levels:
 * **on disk** — the persistent store's ``result`` kind
   (:mod:`repro.experiments.artifacts`), when the CLI enables it;
 * **across cores** — :func:`execute_plan` schedules a sweep of
-  :class:`JobSpec` simulation jobs as an explicit DAG (one compile
-  node per workload, bar-simulation nodes depending on it) over a
-  ``ProcessPoolExecutor``, merging results back deterministically so
-  downstream rendering is byte-identical to a serial run.
+  :class:`JobSpec` simulation jobs, one group per compile key
+  ``(workload, threshold)``, over a ``ProcessPoolExecutor``, merging
+  results back deterministically so downstream rendering is
+  byte-identical to a serial run.
 
-Scheduling policy: a workload's pending simulation nodes are
-co-scheduled with their compile dependency in a single worker task, so
-compiled binaries never cross a process boundary and each workload is
-compiled at most once per run.  Parallelism is across workloads — the
+Scheduling policy: a group's pending simulations run with its compile
+in a single worker task, so compiled binaries never cross a process
+boundary and each (workload, threshold) is compiled at most once per
+run.  Parallelism is across workloads — the
 sweep matrix is 15 workloads wide, which saturates typical machines.
 
 ``jobs < 1`` means every usable CPU (:func:`usable_cpus`, also the
@@ -52,7 +52,7 @@ from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import cache as cache_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments.bars import BAR_PROGRAM, unknown_bar_error
-from repro.experiments.scheduler import JobGraph, JobNode, JobSpec, spec_id
+from repro.experiments.scheduler import JobSpec, group_specs
 from repro.obs import log as log_mod
 from repro.tlssim.config import SimConfig
 from repro.tlssim.stats import SimResult
@@ -415,14 +415,8 @@ def clear_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# the job DAG
+# jobs
 # ---------------------------------------------------------------------------
-#
-# JobSpec / JobNode / JobGraph moved to repro.experiments.scheduler so
-# the serve daemon can plan work with the same vocabulary; re-exported
-# here for existing callers.
-
-_spec_id = spec_id
 
 
 def _base_config(spec: JobSpec) -> Optional[SimConfig]:
@@ -535,17 +529,12 @@ def _execute_group(payload: Tuple[str, float, List[JobSpec], Optional[str]]) -> 
         if spec.kind == "profile":
             bundle.profile_summary()
             out.append(
-                {
-                    "spec_id": _spec_id(spec),
-                    "kind": "profile",
-                    "wall_s": time.perf_counter() - started,
-                }
+                {"kind": "profile", "wall_s": time.perf_counter() - started}
             )
             continue
         (program, config, parallel), result, source = _run_sim(spec, bundle)
         out.append(
             {
-                "spec_id": _spec_id(spec),
                 "kind": spec.kind,
                 "program": program,
                 "config": cache_mod.config_to_state(config),
@@ -566,9 +555,10 @@ def _execute_group(payload: Tuple[str, float, List[JobSpec], Optional[str]]) -> 
     }
 
 
-def _merge_group(group: Dict, specs_by_id: Dict[str, JobSpec]) -> None:
+def _merge_group(group: Dict, specs: Sequence[JobSpec]) -> None:
     """Parent-side: seed memos and record metrics (the worker already
-    persisted everything it computed)."""
+    persisted everything it computed).  ``group["jobs"]`` holds one
+    entry per spec of ``specs``, in order."""
     bundle = bundle_for(group["workload"], group["threshold"])
     for job in group.get("pipeline", ()):
         # Compiles/oracle collections the worker actually performed
@@ -583,8 +573,7 @@ def _merge_group(group: Dict, specs_by_id: Dict[str, JobSpec]) -> None:
         )
     if group["profile_summary"] is not None and bundle._profile_summary is None:
         bundle._profile_summary = group["profile_summary"]
-    for job in group["jobs"]:
-        spec = specs_by_id[job["spec_id"]]
+    for spec, job in zip(specs, group["jobs"]):
         if job["kind"] == "profile":
             metrics_mod.current().record(
                 group["workload"], "profile", "profile",
@@ -604,49 +593,48 @@ def _merge_group(group: Dict, specs_by_id: Dict[str, JobSpec]) -> None:
         )
 
 
-def execute_plan(specs: Sequence[JobSpec], jobs: int = 1) -> JobGraph:
+def execute_plan(specs: Sequence[JobSpec], jobs: int = 1) -> None:
     """Run a sweep of jobs, fanning out across ``jobs`` processes.
 
-    ``jobs < 1`` means every usable CPU.  Builds the explicit DAG,
-    serves whatever it can from the memo and the persistent cache,
-    then dispatches each remaining per-workload subgraph (compile node
-    + its pending simulations) to a worker.  Results are merged
-    deterministically — iteration order is the spec order, independent
-    of completion order — and seeded into the in-process bundles so
-    subsequent rendering never recomputes.  Groups lost to a dead
-    worker (a broken pool) are rerun here, serially, in their place in
-    that order.
+    ``jobs < 1`` means every usable CPU.  Identical specs run once.
+    Serves whatever it can from the memo and the persistent cache,
+    then dispatches the remaining specs of each compile key
+    ``(workload, threshold)`` to a worker as one group: the bundle
+    compiles once, then runs every spec of the group.  Results are
+    merged deterministically — in group order, the order of each
+    group's first spec, independent of completion order — and seeded
+    into the in-process bundles so subsequent rendering never
+    recomputes.  Groups lost to a dead worker (a broken pool) are
+    rerun here, serially, in their place in that order.
     """
     if jobs < 1:
         jobs = usable_cpus()
-    graph = JobGraph.build(specs)
-    pending: List[JobSpec] = []
-    for node in graph.sim_nodes():
-        if not _try_resolve_from_cache(node.spec, bundle_for(
-            node.spec.workload, node.spec.threshold
-        )):
-            pending.append(node.spec)
+    pending = [
+        spec for spec in dict.fromkeys(specs)
+        if not _try_resolve_from_cache(
+            spec, bundle_for(spec.workload, spec.threshold)
+        )
+    ]
     if not pending:
-        return graph
-    groups = graph.groups(pending)
-    specs_by_id = {_spec_id(s): s for s in pending}
+        return
+    groups = group_specs(pending)
     if jobs == 1 or len(groups) == 1:
         # Serial path: run in-process, same memo/disk/metric bookkeeping.
-        for name, threshold, group_specs in groups:
-            _run_group(name, threshold, group_specs)
-        return graph
+        for name, threshold, members in groups:
+            _run_group(name, threshold, members)
+        return
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
     load_compute_stack()
-    results: Dict[str, Dict] = {}
+    results: Dict[Tuple[str, float], Dict] = {}
     store_root = artifacts_mod.active_root()
     with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
         futures = {
             pool.submit(
-                _execute_group, (name, threshold, group_specs, store_root)
-            ): name
-            for name, threshold, group_specs in groups
+                _execute_group, (name, threshold, members, store_root)
+            ): (name, threshold)
+            for name, threshold, members in groups
         }
         outstanding = set(futures)
         while outstanding:
@@ -665,18 +653,21 @@ def execute_plan(specs: Sequence[JobSpec], jobs: int = 1) -> JobGraph:
                 artifacts_mod.merge_counters(
                     group.get("artifact_counters", {})
                 )
-    lost = [name for name, _threshold, _specs in groups if name not in results]
+    lost = [
+        f"{name}@{threshold}" for name, threshold, _members in groups
+        if (name, threshold) not in results
+    ]
     if lost:
         log_mod.get_logger("runner").warning(
             "worker_lost", workloads=",".join(lost)
         )
-    # Deterministic merge: group submission order, spec order within.
-    for name, threshold, group_specs in groups:
-        if name in results:
-            _merge_group(results[name], specs_by_id)
+    # Deterministic merge: group order, spec order within.
+    for name, threshold, members in groups:
+        group = results.get((name, threshold))
+        if group is not None:
+            _merge_group(group, members)
         else:
-            _run_group(name, threshold, group_specs)
-    return graph
+            _run_group(name, threshold, members)
 
 
 def plan_bar_jobs(

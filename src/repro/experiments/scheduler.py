@@ -1,21 +1,19 @@
-"""Reusable job scheduling for the batch runner and the serve daemon.
+"""Job vocabulary and service scheduling.
 
 Two layers live here, both independent of *how* jobs execute:
 
-* **The job DAG** — :class:`JobSpec` / :class:`JobNode` /
-  :class:`JobGraph`, extracted from :mod:`repro.experiments.runner` so
-  the long-running daemon (:mod:`repro.serve`) can plan work with the
-  same vocabulary the batch runner uses.  One ``compile`` node per
-  (workload, threshold); every simulation node depends on its
-  workload's compile node; groups of pending simulations under one
-  compile dependency form a single worker task.
+* **Jobs** — :class:`JobSpec` names one simulation (or profile) job,
+  and :func:`group_specs` groups a sweep's specs by compile key
+  ``(workload, threshold)``: each group is one worker task of the
+  batch runner (:func:`repro.experiments.runner.execute_plan`), which
+  compiles the bundle once and then runs every spec of the group.
 
-* **Service scheduling** — :class:`JobScheduler` adds what a daemon
-  needs on top of the DAG: bounded admission (:class:`QueueFull` maps
-  to HTTP 429), batching of same-key requests, a single-flight *lease*
-  per key (at most one worker runs a key at a time, so N concurrent
-  requests for one cold workload trigger exactly one compile), and
-  graceful drain (:class:`SchedulerDrained` maps to HTTP 503).
+* **Service scheduling** — :class:`JobScheduler` is what the serve
+  daemon needs: bounded admission (:class:`QueueFull` maps to HTTP
+  429), batching of same-key requests, a single-flight *lease* per key
+  (at most one worker runs a key at a time, so N concurrent requests
+  for one cold workload trigger exactly one compile), and graceful
+  drain (:class:`SchedulerDrained` maps to HTTP 503).
 
 :class:`JobScheduler` is not thread-safe: it expects a single
 coordinating thread (the daemon's event loop).
@@ -24,14 +22,12 @@ coordinating thread (the daemon's event loop).
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "JobSpec",
-    "JobNode",
-    "JobGraph",
-    "spec_id",
+    "group_specs",
     "QueueFull",
     "SchedulerDrained",
     "JobScheduler",
@@ -39,7 +35,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# the job DAG (extracted from repro.experiments.runner)
+# jobs
 # ---------------------------------------------------------------------------
 
 
@@ -79,76 +75,21 @@ class JobSpec:
         return (self.workload, self.threshold)
 
 
-@dataclass
-class JobNode:
-    """A DAG node: a spec plus the node ids it depends on."""
+def group_specs(
+    specs: Sequence[JobSpec],
+) -> List[Tuple[str, float, List[JobSpec]]]:
+    """``(workload, threshold, specs)`` per compile key.
 
-    node_id: str
-    spec: JobSpec
-    deps: Tuple[str, ...] = ()
-
-
-@dataclass
-class JobGraph:
-    """Explicit dependence graph for one sweep.
-
-    One ``compile`` node per (workload, threshold); every simulation
-    node depends on its workload's compile node.  ``profile`` jobs are
-    folded into the compile node's payload.
+    Groups are ordered by their first spec, and each group keeps its
+    specs in their given order, so scheduling is deterministic.
     """
-
-    nodes: Dict[str, JobNode] = field(default_factory=dict)
-    order: List[str] = field(default_factory=list)
-
-    @staticmethod
-    def build(specs: Sequence[JobSpec]) -> "JobGraph":
-        graph = JobGraph()
-        for spec in specs:
-            compile_id = f"compile:{spec.workload}@{spec.threshold}"
-            if compile_id not in graph.nodes:
-                compile_spec = JobSpec(
-                    workload=spec.workload,
-                    kind="compile",
-                    label="compile",
-                    threshold=spec.threshold,
-                )
-                graph.nodes[compile_id] = JobNode(compile_id, compile_spec)
-                graph.order.append(compile_id)
-            node_id = spec_id(spec)
-            if node_id not in graph.nodes:
-                graph.nodes[node_id] = JobNode(node_id, spec, deps=(compile_id,))
-                graph.order.append(node_id)
-        return graph
-
-    def sim_nodes(self) -> List[JobNode]:
-        return [
-            self.nodes[i] for i in self.order if self.nodes[i].spec.kind != "compile"
-        ]
-
-    def groups(self, pending: Sequence[JobSpec]) -> List[Tuple[str, float, List[JobSpec]]]:
-        """Pending sim specs grouped under their compile dependency.
-
-        Each group is one worker task: the compile node runs once,
-        then every dependent simulation.  Groups are ordered by first
-        appearance so scheduling is deterministic.
-        """
-        grouped: Dict[Tuple[str, float], List[JobSpec]] = {}
-        keys: List[Tuple[str, float]] = []
-        for spec in pending:
-            key = (spec.workload, spec.threshold)
-            if key not in grouped:
-                grouped[key] = []
-                keys.append(key)
-            grouped[key].append(spec)
-        return [(w, t, grouped[(w, t)]) for (w, t) in keys]
-
-
-def spec_id(spec: JobSpec) -> str:
-    """Stable node/job identity for one spec."""
-    return (
-        f"{spec.kind}:{spec.workload}@{spec.threshold}"
-        f":{spec.label}:{spec.program}:{spec.param}:{spec.overrides}"
-    )
+    grouped: Dict[Tuple[str, float], List[JobSpec]] = {}
+    for spec in specs:
+        grouped.setdefault(spec.key, []).append(spec)
+    return [
+        (workload, threshold, members)
+        for (workload, threshold), members in grouped.items()
+    ]
 
 
 # ---------------------------------------------------------------------------

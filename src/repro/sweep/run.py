@@ -2,7 +2,7 @@
 
 Every point becomes a ``bar``-kind :class:`JobSpec` whose overrides
 carry the point's config coordinates, executed through
-:func:`repro.experiments.runner.execute_plan` — the same job DAG /
+:func:`repro.experiments.runner.execute_plan` — the same job grouping /
 process fan-out / persistent-store machinery the report generator
 uses, so warm points are cache hits and stored compiled artifacts keep
 the per-workload compile amortized.  A SEQ baseline job rides along per

@@ -44,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.cfg import CFG
 from repro.ir.decode import (
@@ -194,6 +194,26 @@ class EpochRun:
         return max(0.0, min(self.clock, until) - self.start_clock) * issue_width
 
 
+def _decode_dt(config: SimConfig) -> Callable[[object], float]:
+    """Pre-divided clock charge for the decode pass.
+
+    Memory instructions carry 0.0: their latency comes from the cache
+    model at execution time.  The division happens once per static
+    instruction, with exactly the float operation
+    :meth:`_RegionExecution._charge` performs, so accumulated clocks
+    stay bit-identical between the two region schedulers.  Closed over
+    the config alone, so a decoded program never refers back to its
+    engine.
+    """
+
+    def dt_of(instr) -> float:
+        if isinstance(instr, (Load, Store)):
+            return 0.0
+        return instruction_latency(config, instr) / config.issue_width
+
+    return dt_of
+
+
 class TLSEngine:
     """Whole-program simulator; see module docstring."""
 
@@ -257,7 +277,9 @@ class TLSEngine:
         self.backend = "tuples"
         self.fused_instructions = 0
         self.fused_regions = 0
-        self._program = DecodedProgram(module, self.memory.addr_of, self._dt_of)
+        self._program = DecodedProgram(
+            module, self.memory.addr_of, _decode_dt(self.config)
+        )
         #: function name -> decoded/lowered blocks dict; lazily filled
         #: flat cache so the hot loops pay one dict lookup per function
         #: switch instead of a method call per block fetch.
@@ -347,19 +369,6 @@ class TLSEngine:
     # ------------------------------------------------------------------
     # sequential execution (core 0), with region hand-off
     # ------------------------------------------------------------------
-
-    def _dt_of(self, instr) -> float:
-        """Pre-divided clock charge for the decode pass.
-
-        Memory instructions carry 0.0: their latency comes from the
-        cache model at execution time.  The division happens here, once
-        per static instruction, with exactly the float operation
-        :meth:`_RegionExecution._charge` performs, so accumulated clocks
-        stay bit-identical between the two region schedulers.
-        """
-        if isinstance(instr, (Load, Store)):
-            return 0.0
-        return instruction_latency(self.config, instr) / self.config.issue_width
 
     def _close_seq_region(self) -> None:
         """Record a sequentially-executed region (baseline runs)."""
@@ -1472,6 +1481,9 @@ class _RegionExecution:
         frame.index = 0
 
     def _step(self, run: EpochRun) -> None:
+        """Execute ``run``'s next instruction: the per-op scheduler's
+        one step, and the one copy of every park and fault rule (the
+        turn loop hands its parks and faults here)."""
         engine = self.engine
         config = self.config
         run.steps += 1
@@ -1582,17 +1594,9 @@ class _RegionExecution:
         elif isinstance(instr, Signal):
             self._exec_signal(run, frame, instr, value(instr.value))
         elif isinstance(instr, Check):
-            f_addr = value(instr.f_addr)
-            m_addr = value(instr.m_addr) + instr.offset
-            run.fwd_flag = bool(f_addr != 0 and f_addr == m_addr)
-            run.fwd_addr = f_addr
-            if run.last_mem_channel is not None:
-                stats = engine.channel_stats.setdefault(
-                    run.last_mem_channel, [0, 0]
-                )
-                stats[0] += 1
-                if run.fwd_flag:
-                    stats[1] += 1
+            self._exec_check(
+                run, value(instr.f_addr), value(instr.m_addr) + instr.offset
+            )
             self._charge(run, instruction_latency(config, instr))
             frame.index += 1
         elif isinstance(instr, Select):
@@ -1624,23 +1628,30 @@ class _RegionExecution:
           clock can be rolled back to the exact boundary where the
           slow-path scheduler would have descheduled it (see
           :meth:`_squash`).
-        * **Shared-state** (loads, stores, waits, signals, checks,
-          epoch-ending branches, parks and faults): these must execute
-          in exact global ``(clock, logical)`` order.  Before each one
-          the turn re-checks the *horizon* — the earliest pending
-          event of any other run, constant during the turn because the
-          turn ends on any operation that could move it — and ends the
-          turn with the instruction unexecuted once the run is no
-          longer the scheduler's minimum.  When one does execute, the
-          trace is cleared: the run is globally ordered again.
+        * **Shared-state** (loads, stores, waits, signals, checks and
+          epoch-ending branches): these must execute in exact global
+          ``(clock, logical)`` order.  Before each one the turn
+          re-checks the *horizon* — the earliest pending event of any
+          other run, constant during the turn because the turn ends on
+          any operation that could move it — and ends the turn with the
+          instruction unexecuted once the run is no longer the
+          scheduler's minimum.  When one does execute, the trace is
+          cleared: the run is globally ordered again.
+
+        An instruction that cannot complete freely — either step limit,
+        a zero divisor, a missing callee, a return out of the region or
+        a void return into a register, an ``alloc``, an undefined
+        register — parks the run or faults, and that decision depends
+        on whether the run is the oldest, i.e. on global commit
+        progress.  The turn stops with the instruction uncounted,
+        synchronizes on the horizon like any shared-state operation and
+        hands the instruction to :meth:`_step`, the one copy of every
+        park and fault rule.
 
         The turn also ends when the run leaves the ready state or
         executes an operation that can change another run's pending
         event (a signal, or a store that squashed someone or corrected
         a forwarded value); the main loop then re-enters via the heap.
-        Park and fault decisions depend on whether the run is the
-        oldest, i.e. on global commit progress, so they synchronize on
-        the horizon like any shared-state operation.
         """
         engine = self.engine
         config = self.config
@@ -1660,7 +1671,8 @@ class _RegionExecution:
         fn_blocks = engine._fn_blocks
         fname = None
         fblocks = None
-        while True:
+        handoff = False
+        while not handoff:
             frame = frames[-1]
             if frame.function_name != fname:
                 fname = frame.function_name
@@ -1732,87 +1744,48 @@ class _RegionExecution:
                                     frame.block = label
                                     frame.index = idx
                                     break
-                    if code <= OP_CONDBR:  # private: free-running
-                        steps += 1
-                        tsteps += 1
-                        if steps > max_epoch or tsteps > max_region:
-                            run.clock = clock
-                            run.busy_slots = busy
-                            frame.index = i
-                            if not (
-                                clock < h_eff
-                                or (clock == h_eff and logical < h_log)
-                            ):
-                                run.steps = steps - 1
-                                self.total_steps = tsteps - 1
-                                return
-                            del trace[:]
-                            self._now = clock
-                            run.steps = steps
-                            self.total_steps = tsteps
-                            if steps > max_epoch:
-                                if logical == self.committed_upto + 1:
-                                    raise EngineError(
-                                        f"oldest epoch {logical} exceeded "
-                                        f"step limit (non-terminating loop "
-                                        f"body?)"
-                                    )
-                                self._park(run, "fuel")
-                                return
-                            raise EngineError("region step limit exceeded")
-                        if code <= OP_RESUME:  # pure
-                            if code == OP_BINOP:
-                                a, b = op[5], op[6]
-                                regs[op[3]] = op[4](
-                                    a if type(a) is int else regs[a],
-                                    b if type(b) is int else regs[b],
-                                )
-                            elif code == OP_CONST:
-                                regs[op[3]] = op[4]
-                            elif code == OP_MOVE:
-                                s = op[4]
-                                regs[op[3]] = s if type(s) is int else regs[s]
-                            elif code == OP_UNOP:
-                                s = op[5]
-                                regs[op[3]] = op[4](
-                                    s if type(s) is int else regs[s]
-                                )
-                            elif code == OP_DIVMOD:
-                                a, b = op[5], op[6]
-                                lhs = a if type(a) is int else regs[a]
-                                rhs = b if type(b) is int else regs[b]
-                                if rhs == 0:
-                                    run.clock = clock
-                                    run.busy_slots = busy
-                                    frame.index = i
-                                    if not (
-                                        clock < h_eff
-                                        or (clock == h_eff and logical < h_log)
-                                    ):
-                                        run.steps = steps - 1
-                                        self.total_steps = tsteps - 1
-                                        return
-                                    del trace[:]
-                                    self._now = clock
-                                    run.steps = steps
-                                    self.total_steps = tsteps
-                                    if logical != self.committed_upto + 1:
-                                        self._park(run, "div0")
-                                        return
-                                    # oldest: genuine fault
-                                regs[op[3]] = op[4](lhs, rhs)
-                            elif code == OP_SELECT:
-                                s = op[4] if run.fwd_flag else op[5]
-                                regs[op[3]] = s if type(s) is int else regs[s]
-                            else:  # OP_RESUME
-                                run.fwd_flag = False
-                                run.fwd_addr = 0
-                            append(clock)
-                            clock += op[1]
-                            busy += 1.0
-                            i += 1
-                            continue
-                        if code == OP_JUMP or code == OP_CONDBR:
+                    steps += 1
+                    tsteps += 1
+                    if steps > max_epoch or tsteps > max_region:
+                        handoff = True
+                        break
+                    if code <= OP_RESUME:  # pure: free-running
+                        if code == OP_BINOP:
+                            a, b = op[5], op[6]
+                            regs[op[3]] = op[4](
+                                a if type(a) is int else regs[a],
+                                b if type(b) is int else regs[b],
+                            )
+                        elif code == OP_CONST:
+                            regs[op[3]] = op[4]
+                        elif code == OP_MOVE:
+                            s = op[4]
+                            regs[op[3]] = s if type(s) is int else regs[s]
+                        elif code == OP_UNOP:
+                            s = op[5]
+                            regs[op[3]] = op[4](s if type(s) is int else regs[s])
+                        elif code == OP_DIVMOD:
+                            a, b = op[5], op[6]
+                            rhs = b if type(b) is int else regs[b]
+                            if rhs == 0:
+                                handoff = True
+                                break
+                            regs[op[3]] = op[4](
+                                a if type(a) is int else regs[a], rhs
+                            )
+                        elif code == OP_SELECT:
+                            s = op[4] if run.fwd_flag else op[5]
+                            regs[op[3]] = s if type(s) is int else regs[s]
+                        else:  # OP_RESUME
+                            run.fwd_flag = False
+                            run.fwd_addr = 0
+                        append(clock)
+                        clock += op[1]
+                        busy += 1.0
+                        i += 1
+                        continue
+                    if code <= OP_CONDBR:  # private control flow
+                        if code >= OP_JUMP:
                             if code == OP_JUMP:
                                 target = op[3]
                             else:
@@ -1822,58 +1795,24 @@ class _RegionExecution:
                                     if (c if type(c) is int else regs[c])
                                     else op[5]
                                 )
-                            if len(frames) == 1 and (
-                                target == header or target not in blocks
+                            if len(frames) > 1 or (
+                                target != header and target in blocks
                             ):
-                                # epoch boundary: shared-state
+                                append(clock)
+                                clock += op[1]
+                                busy += 1.0
                                 run.clock = clock
                                 run.busy_slots = busy
-                                frame.index = i
-                                if not (
-                                    clock < h_eff
-                                    or (clock == h_eff and logical < h_log)
-                                ):
-                                    run.steps = steps - 1
-                                    self.total_steps = tsteps - 1
-                                    return
-                                del trace[:]
-                                self._now = clock
                                 run.steps = steps
                                 self.total_steps = tsteps
-                                run.clock = clock + op[1]
-                                run.busy_slots = busy + 1.0
-                                self._finish_epoch(
-                                    run,
-                                    exited=(target != header),
-                                    target=target,
-                                )
-                                return
-                            append(clock)
-                            clock += op[1]
-                            busy += 1.0
-                            run.clock = clock
-                            run.busy_slots = busy
-                            run.steps = steps
-                            self.total_steps = tsteps
-                            frame.block = target
-                            frame.index = 0
-                            break  # refetch the decoded block
-                        if code == OP_CALL:
+                                frame.block = target
+                                frame.index = 0
+                                break  # refetch the decoded block
+                            # epoch boundary: shared-state, below
+                        elif code == OP_CALL:
                             if op[6] is None:
-                                run.clock = clock
-                                run.busy_slots = busy
-                                frame.index = i
-                                if not (
-                                    clock < h_eff
-                                    or (clock == h_eff and logical < h_log)
-                                ):
-                                    run.steps = steps - 1
-                                    self.total_steps = tsteps - 1
-                                    return
-                                self._now = clock
-                                run.steps = steps
-                                self.total_steps = tsteps
-                                raise _CalleeMissing(op[4])
+                                handoff = True
+                                break
                             values = [
                                 a if type(a) is int else regs[a] for a in op[5]
                             ]
@@ -1894,85 +1833,45 @@ class _RegionExecution:
                                 )
                             )
                             break  # enter the callee's decoded block
-                        # OP_RET
-                        if len(frames) == 1:
+                        else:  # OP_RET
+                            v = op[3]
+                            retval = (
+                                None if v is None
+                                else (v if type(v) is int else regs[v])
+                            )
+                            call = frame.call_instr
+                            if len(frames) == 1 or (
+                                call.dest is not None and retval is None
+                            ):
+                                handoff = True
+                                break
+                            append(clock)
+                            clock += op[1]
+                            busy += 1.0
                             run.clock = clock
                             run.busy_slots = busy
-                            frame.index = i
-                            if not (
-                                clock < h_eff
-                                or (clock == h_eff and logical < h_log)
-                            ):
-                                run.steps = steps - 1
-                                self.total_steps = tsteps - 1
-                                return
-                            self._now = clock
                             run.steps = steps
                             self.total_steps = tsteps
-                            raise EngineError(
-                                "return from inside a parallelized loop"
-                            )
-                        v = op[3]
-                        retval = (
-                            None if v is None else (v if type(v) is int else regs[v])
-                        )
-                        call = frame.call_instr
-                        if call.dest is not None and retval is None:
-                            run.clock = clock
-                            run.busy_slots = busy
-                            frame.index = i
-                            if not (
-                                clock < h_eff
-                                or (clock == h_eff and logical < h_log)
-                            ):
-                                run.steps = steps - 1
-                                self.total_steps = tsteps - 1
-                                return
-                            self._now = clock
-                            run.steps = steps
-                            self.total_steps = tsteps
-                            raise EngineError(
-                                f"void return into %{call.dest.name}"
-                            )
-                        append(clock)
-                        clock += op[1]
-                        busy += 1.0
-                        run.clock = clock
-                        run.busy_slots = busy
-                        run.steps = steps
-                        self.total_steps = tsteps
-                        frames.pop()
-                        caller = frames[-1]
-                        if call.dest is not None:
-                            caller.regs[call.dest.name] = retval
-                        caller.index += 1
-                        break  # back to the caller's decoded block
+                            frames.pop()
+                            caller = frames[-1]
+                            if call.dest is not None:
+                                caller.regs[call.dest.name] = retval
+                            caller.index += 1
+                            break  # back to the caller's decoded block
                     # shared-state: synchronize on the horizon first
                     run.clock = clock
                     run.busy_slots = busy
-                    run.steps = steps
-                    self.total_steps = tsteps
                     frame.index = i
                     if not (
                         clock < h_eff or (clock == h_eff and logical < h_log)
                     ):
+                        run.steps = steps - 1
+                        self.total_steps = tsteps - 1
                         return  # another run's event is due first
                     del trace[:]
                     self._now = clock
-                    steps += 1
-                    tsteps += 1
                     run.steps = steps
                     self.total_steps = tsteps
-                    if steps > max_epoch:
-                        if logical == self.committed_upto + 1:
-                            raise EngineError(
-                                f"oldest epoch {logical} exceeded step limit "
-                                f"(non-terminating loop body?)"
-                            )
-                        self._park(run, "fuel")
-                        return
-                    if tsteps > max_region:
-                        raise EngineError("region step limit exceeded")
                     if code == OP_LOAD:
                         a = op[4]
                         addr = (a if type(a) is int else regs[a]) + op[5]
@@ -2010,27 +1909,25 @@ class _RegionExecution:
                         return  # sent/replaced a message: consumer event moved
                     elif code == OP_CHECK:
                         f = op[3]
-                        f_addr = f if type(f) is int else regs[f]
                         m = op[4]
-                        m_addr = (m if type(m) is int else regs[m]) + op[5]
-                        run.fwd_flag = bool(f_addr != 0 and f_addr == m_addr)
-                        run.fwd_addr = f_addr
-                        if run.last_mem_channel is not None:
-                            stats = engine.channel_stats.setdefault(
-                                run.last_mem_channel, [0, 0]
-                            )
-                            stats[0] += 1
-                            if run.fwd_flag:
-                                stats[1] += 1
+                        self._exec_check(
+                            run,
+                            f if type(f) is int else regs[f],
+                            (m if type(m) is int else regs[m]) + op[5],
+                        )
                         run.clock = clock + op[1]
                         run.busy_slots = busy + 1.0
                         frame.index = i + 1
-                    else:  # OP_ALLOC
-                        raise EngineError(
-                            "alloc inside a speculative epoch is not "
-                            "supported; pre-allocate memory before the "
-                            "parallelized loop"
+                    elif code == OP_ALLOC:
+                        handoff = True
+                        break
+                    else:  # the epoch-ending branch
+                        run.clock = clock + op[1]
+                        run.busy_slots = busy + 1.0
+                        self._finish_epoch(
+                            run, exited=(target != header), target=target
                         )
+                        return
                     # executed with the run still ready in the same
                     # frame: resume free-running after it.
                     clock = run.clock
@@ -2038,26 +1935,19 @@ class _RegionExecution:
                     steps = run.steps
                     tsteps = self.total_steps
                     i = frame.index
-            except _CalleeMissing as exc:
-                raise KeyError(exc.args[0]) from None
-            except KeyError as exc:
-                run.clock = clock
-                run.busy_slots = busy
-                frame.index = i
-                if not (
-                    clock < h_eff or (clock == h_eff and logical < h_log)
-                ):
-                    # fault ordered after another run's event, which
-                    # may yet squash this run: defer it.
-                    run.steps = steps - 1
-                    self.total_steps = tsteps - 1
-                    return
-                run.steps = steps
-                self.total_steps = tsteps
-                raise EngineError(
-                    f"epoch {logical}: read of undefined register "
-                    f"%{exc.args[0]} in {frame.function_name}"
-                ) from None
+            except KeyError:
+                handoff = True  # an undefined register
+        # A park or fault: uncount the instruction and hand it to the
+        # per-op rules once the run is ordered before the horizon.
+        run.clock = clock
+        run.busy_slots = busy
+        run.steps = steps - 1
+        self.total_steps = tsteps - 1
+        frame.index = i
+        if clock < h_eff or (clock == h_eff and logical < h_log):
+            del trace[:]
+            self._now = clock
+            self._step(run)
 
     # -- memory instructions -------------------------------------------------
 
@@ -2383,6 +2273,19 @@ class _RegionExecution:
         if stats is None or stats[0] < self.config.filter_min_samples:
             return False
         return stats[1] / stats[0] < self.config.filter_min_success
+
+    def _exec_check(self, run: EpochRun, f_addr: int, m_addr: int) -> None:
+        """Set the forwarding flag and count the check against the
+        channel of the run's last memory wait."""
+        run.fwd_flag = bool(f_addr != 0 and f_addr == m_addr)
+        run.fwd_addr = f_addr
+        if run.last_mem_channel is not None:
+            stats = self.engine.channel_stats.setdefault(
+                run.last_mem_channel, [0, 0]
+            )
+            stats[0] += 1
+            if run.fwd_flag:
+                stats[1] += 1
 
     def _exec_signal(
         self, run: EpochRun, frame: Frame, instr: Signal, payload: int

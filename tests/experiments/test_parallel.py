@@ -9,6 +9,7 @@ from repro.cli import main
 from repro.experiments import artifacts as artifacts_mod
 from repro.experiments import metrics as metrics_mod
 from repro.experiments import runner
+from repro.experiments.scheduler import group_specs
 from repro.tlssim.config import SimConfig
 
 WORKLOADS = ["go", "mcf", "perlbmk"]
@@ -53,20 +54,36 @@ class TestPlanning:
         assert all(spec.kind == "bar" for spec in specs)
 
     def test_graph_compile_dependencies(self):
+        """One workload's bars share one group: one compile for all."""
         specs = runner.plan_bar_jobs(["go"], ("U", "C"))
-        graph = runner.JobGraph.build(specs)
-        sims = graph.sim_nodes()
-        assert len(sims) == len(specs)
-        for node in sims:
-            assert node.deps, "every sim node depends on its compile node"
+        assert group_specs(specs) == [("go", 0.05, specs)]
 
     def test_groups_are_per_workload(self):
         specs = runner.plan_bar_jobs(WORKLOADS, BARS)
-        graph = runner.JobGraph.build(specs)
-        groups = graph.groups(specs)
+        groups = group_specs(specs)
         assert len(groups) == len(WORKLOADS)
         for name, _threshold, members in groups:
             assert {spec.workload for spec in members} == {name}
+
+    def test_groups_of_one_workload_at_two_thresholds_both_merge(
+        self, fresh_bundles
+    ):
+        """Two groups share a workload name: each worker's results seed
+        its own threshold's bundle, and each is recorded once."""
+        metrics_mod.reset(workers=2)
+        specs = [
+            runner.JobSpec(workload="mcf", label="U", threshold=threshold)
+            for threshold in (0.05, 0.2)
+        ]
+        runner.execute_plan(specs + specs[:1], jobs=2)
+        for threshold in (0.05, 0.2):
+            bundle = runner.bundle_for("mcf", threshold)
+            assert not bundle.is_compiled
+            assert len(bundle._sims) == 1
+        run = metrics_mod.current()
+        assert all(job.source == metrics_mod.SOURCE_WORKER for job in run.jobs)
+        assert len([job for job in run.jobs if job.kind == "bar"]) == 2
+        assert len([job for job in run.jobs if job.kind == "compile"]) == 2
 
 
 class TestDeterminism:

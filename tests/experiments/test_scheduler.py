@@ -1,43 +1,43 @@
 """Tests for repro.experiments.scheduler.
 
-Covers the DAG extracted from the batch runner (ordering, compile
-sharing, grouping) and the service layer the daemon builds on:
-admission control, same-key batching, single-flight key leases and
-drain-with-inflight-jobs.
+Covers the batch runner's job grouping (one group per compile key, in
+first-appearance order; spec identity) and the service layer the
+daemon builds on: admission control, same-key batching, single-flight
+key leases and drain-with-inflight-jobs.
 """
 
 import pytest
 
 from repro.experiments.scheduler import (
-    JobGraph,
     JobScheduler,
     JobSpec,
     QueueFull,
     SchedulerDrained,
-    spec_id,
+    group_specs,
 )
 
 # ---------------------------------------------------------------------------
-# the job DAG
+# job grouping
 # ---------------------------------------------------------------------------
 
 
 def test_graph_orders_compile_before_dependents():
+    """Every spec lands in the one group of its compile key, so the
+    group's compile runs before each of its simulations."""
     specs = [
         JobSpec(workload="go", label="U", program="baseline"),
         JobSpec(workload="go", label="C", program="sync_ref"),
         JobSpec(workload="compress", label="U", program="baseline"),
     ]
-    graph = JobGraph.build(specs)
-    order = graph.order
-    for node_id in order:
-        node = graph.nodes[node_id]
-        for dep in node.deps:
-            assert order.index(dep) < order.index(node_id)
-    # One compile node per (workload, threshold), ahead of its sims.
-    compiles = [i for i in order if graph.nodes[i].spec.kind == "compile"]
-    assert len(compiles) == 2
-    assert order.index("compile:go@0.05") < order.index(spec_id(specs[0]))
+    groups = group_specs(specs)
+    assert [(w, t) for w, t, _members in groups] == [
+        ("go", 0.05), ("compress", 0.05),
+    ]
+    for workload, threshold, members in groups:
+        assert all(spec.key == (workload, threshold) for spec in members)
+    assert sorted(
+        (spec for _w, _t, members in groups for spec in members), key=specs.index
+    ) == specs
 
 
 def test_graph_shares_compile_node_per_threshold():
@@ -46,14 +46,10 @@ def test_graph_shares_compile_node_per_threshold():
         JobSpec(workload="go", label="C", program="sync_ref"),
         JobSpec(workload="go", label="U", program="baseline", threshold=0.2),
     ]
-    graph = JobGraph.build(specs)
-    compiles = {
-        i for i in graph.order if graph.nodes[i].spec.kind == "compile"
-    }
-    assert compiles == {"compile:go@0.05", "compile:go@0.2"}
-    assert graph.nodes[spec_id(specs[0])].deps == ("compile:go@0.05",)
-    assert graph.nodes[spec_id(specs[2])].deps == ("compile:go@0.2",)
-    assert len(graph.sim_nodes()) == 3
+    assert group_specs(specs) == [
+        ("go", 0.05, specs[:2]),
+        ("go", 0.2, specs[2:]),
+    ]
 
 
 def test_graph_groups_by_compile_key_in_first_appearance_order():
@@ -62,7 +58,7 @@ def test_graph_groups_by_compile_key_in_first_appearance_order():
         JobSpec(workload="compress", label="U"),
         JobSpec(workload="go", label="C"),
     ]
-    groups = JobGraph.build(specs).groups(specs)
+    groups = group_specs(specs)
     assert [(w, t, [s.label for s in batch]) for w, t, batch in groups] == [
         ("go", 0.05, ["U", "C"]),
         ("compress", 0.05, ["U"]),
@@ -70,16 +66,19 @@ def test_graph_groups_by_compile_key_in_first_appearance_order():
 
 
 def test_spec_id_distinguishes_every_field():
+    """Spec identity (what the runner dedupes on) tells apart specs
+    that differ in any one field, and only those."""
     base = JobSpec(workload="go")
     variants = [
         JobSpec(workload="go", label="U"),
         JobSpec(workload="go", threshold=0.1),
         JobSpec(workload="go", kind="custom"),
+        JobSpec(workload="go", program="sync_ref"),
         JobSpec(workload="go", param=0.2),
         JobSpec(workload="go", overrides=(("num_cores", 8),)),
     ]
-    ids = {spec_id(s) for s in [base] + variants}
-    assert len(ids) == len(variants) + 1
+    assert len(set([base] + variants)) == len(variants) + 1
+    assert len(set([base, JobSpec(workload="go")])) == 1
 
 
 # ---------------------------------------------------------------------------

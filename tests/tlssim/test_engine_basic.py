@@ -1,5 +1,8 @@
 """TLS engine: sequential semantics, epoch execution, violations, commits."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.ir.builder import ModuleBuilder
@@ -189,6 +192,34 @@ class TestCommitsAndSlots:
         region = tls.regions[0]
         expected = region.cycles * config.issue_width * config.num_cores
         assert abs(region.slots.total - expected) < 1e-6
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("fast_path", (True, False), ids=("fast", "slow"))
+    def test_run_engine_is_freed_without_the_cycle_collector(self, fast_path):
+        """A run engine is in no reference cycle (its decoded program
+        once kept a bound method of it): dropping the last reference
+        frees it at once, so back-to-back engines do not pile up
+        between collections."""
+
+        def body(fb):
+            v = fb.load("@g")
+            fb.store("@g", fb.add(v, 1))
+
+        module = make_counted_loop(
+            iters=8, body=body, globals_spec=[("g", 1, 0)], filler=4
+        )
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engine = TLSEngine(module, config=SimConfig(fast_path=fast_path))
+            engine.run()
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestEngineErrors:
