@@ -20,8 +20,8 @@ at three levels:
 Scheduling policy: a group's pending simulations run with its compile
 in a single worker task, so compiled binaries never cross a process
 boundary and each (workload, threshold) is compiled at most once per
-run.  Parallelism is across workloads — the
-sweep matrix is 15 workloads wide, which saturates typical machines.
+run.  Parallelism is across workloads — the sweep matrix is 15
+workloads wide, which saturates typical machines.
 
 ``jobs < 1`` means every usable CPU (:func:`usable_cpus`, also the
 CLI's default ``--jobs``).  If a worker dies, the groups that already
