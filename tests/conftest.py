@@ -5,14 +5,15 @@ those tests run repeated warm submits through a live serve daemon and
 take minutes, so the tier-1 suite skips them unless ``--run-stability``
 is passed (the nightly workflow does).
 
-Four goldens pin the reproduction's outputs: EXPERIMENTS.md's
+Five goldens pin the reproduction's outputs: EXPERIMENTS.md's
 "Measured results" section (``tests/integration/test_golden_report.py``),
 the result digests in ``tests/golden/results.json``
 (``tests/tlssim/test_event_stream.py``), the ``repro trace`` output
 digests in ``tests/golden/traces.json``
-(``tests/experiments/test_trace.py``) and the sequential interpreter's
-hook-stream digests in ``tests/golden/hooks.json``
-(``tests/ir/test_hook_stream.py``).  ``--update-golden`` makes those
+(``tests/experiments/test_trace.py``), the ``repro analyze`` output
+digests in ``tests/golden/analyze.json`` (``tests/obs/test_analysis.py``)
+and the sequential interpreter's hook-stream digests in
+``tests/golden/hooks.json`` (``tests/ir/test_hook_stream.py``).  ``--update-golden`` makes those
 tests rewrite the goldens instead of asserting them; a change that
 does so says why in CHANGES.md.
 
@@ -31,6 +32,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 RESULT_DIGESTS = GOLDEN / "results.json"
 TRACE_DIGESTS = GOLDEN / "traces.json"
 HOOK_DIGESTS = GOLDEN / "hooks.json"
+ANALYSIS_DIGESTS = GOLDEN / "analyze.json"
 
 
 def pytest_addoption(parser):
@@ -124,6 +126,20 @@ def trace_digests(update_golden):
         TRACE_DIGESTS, "traces",
         "sha256 of the file `repro trace --workload W --bar B "
         "--format F -o FILE` writes",
+        update_golden,
+    ) as check:
+        yield check
+
+
+@pytest.fixture(scope="session")
+def analysis_digests(update_golden):
+    """``check(key, data)``: assert the sha256 of ``repro analyze``
+    output bytes against ``tests/golden/analyze.json``."""
+    with _golden_digests(
+        ANALYSIS_DIGESTS, "analyses",
+        "sha256 of the stdout of `repro analyze LOG --format F`, LOG "
+        "being the file `repro trace --workload W --bar B --format "
+        "jsonl` writes, named trace_W_B.jsonl in the working directory",
         update_golden,
     ) as check:
         yield check

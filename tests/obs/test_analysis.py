@@ -26,8 +26,18 @@ from repro.obs.analysis import (
 from repro.obs.bus import CollectorSink, EventBus
 from repro.tlssim.config import SimConfig
 from repro.tlssim.engine import TLSEngine
+from repro.workloads.base import WORKLOAD_NAMES
 
+from tests.experiments.test_trace import GOLDEN_CELLS
 from tests.tlssim.conftest import make_counted_loop
+
+#: (workload, bar) cells checked against the engine: every workload at
+#: C and H, plus go at U and L.  go's cells keep their bare bar ids.
+ENGINE_CELLS = [("go", bar) for bar in ("U", "C", "H", "L")] + [
+    (workload, bar)
+    for workload in WORKLOAD_NAMES if workload != "go"
+    for bar in ("C", "H")
+]
 
 
 def _traced(module, config=None):
@@ -59,9 +69,13 @@ class TestMatchesEngine:
         ]
         assert analysis.identity_error == 0.0
 
-    @pytest.mark.parametrize("bar", ("U", "C", "H", "L"))
-    def test_workload_bars(self, bar):
-        run = run_traced("go", bar)
+    @pytest.mark.parametrize(
+        "workload,bar", ENGINE_CELLS,
+        ids=[bar if workload == "go" else f"{workload}/{bar}"
+             for workload, bar in ENGINE_CELLS],
+    )
+    def test_workload_bars(self, workload, bar):
+        run = run_traced(workload, bar)
         analysis = attribute_events(run.events)
         engine_attr = [
             r.attribution for r in run.result.regions
@@ -257,6 +271,27 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert payload["schema"] == 1
         assert payload["totals"]["identity_error"] == 0.0
+
+    @pytest.mark.parametrize("fmt", ("json", "ascii"))
+    @pytest.mark.parametrize("cell", GOLDEN_CELLS, ids="/".join)
+    def test_analyze_log_matches_golden(
+        self, cell, fmt, tmp_path, monkeypatch, capsys, analysis_digests
+    ):
+        """The report bytes for a ``repro trace`` log are pinned."""
+        from repro.cli import main
+
+        workload, bar = cell
+        monkeypatch.chdir(tmp_path)  # the report names the log it read
+        log = f"trace_{workload}_{bar}.jsonl"
+        assert main([
+            "trace", "--workload", workload, "--bar", bar,
+            "--format", "jsonl", "-o", log,
+        ]) == 0
+        capsys.readouterr()
+        assert main(["analyze", log, "--format", fmt, "--no-cache"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        analysis_digests(f"{workload}/{bar}/{fmt}", captured.out.encode())
 
     def test_analyze_diff_cli(self, capsys):
         from repro.cli import main
