@@ -2,12 +2,14 @@
 
 The paper's evaluation (Section 1.2, Figures 9-10) argues from
 *explained* execution time: every graduation slot of a region belongs
-to a named cause.  The engine computes the same attribution online
-(``RegionStats.attribution``); this module reproduces it *offline* from
-the event stream — bit-identical, asserted by tests — and adds what
-aggregate counters cannot carry: per-stall records keyed by (producer
-epoch, consumer epoch, address, sync-pair iid), a cross-epoch critical
-path, and run-vs-run regression diffs for ``repro analyze``.
+to a named cause.  One :class:`repro.tlssim.stats.SlotLedger` does that
+arithmetic: the engine feeds it online from run fields
+(``RegionStats.attribution``), this module offline from the event
+stream, so the two agree bit for bit when the events carry what the
+ledger needs (asserted by tests).  This module adds what aggregate
+counters cannot carry: per-stall records keyed by (producer epoch,
+consumer epoch, address, sync-pair iid), a cross-epoch critical path,
+and run-vs-run regression diffs for ``repro analyze``.
 
 Category taxonomy (slots; see ``docs/analysis.md``):
 
@@ -51,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.events import Event
+from repro.tlssim.stats import SlotLedger
 
 #: JSON report schema version (independent of the event schema).
 ANALYSIS_SCHEMA = 1
@@ -260,7 +263,9 @@ class RunAnalysis:
 
 
 class _RegionState:
-    """Mirror of the engine's per-region attribution bookkeeping."""
+    """One region of the stream being attributed: feeds the region's
+    :class:`SlotLedger` from event fields, and keeps the stall, address
+    and critical-path bookkeeping the engine does not."""
 
     def __init__(self, index: int, event: Event,
                  num_cores: Optional[int], issue_width: Optional[int]):
@@ -280,10 +285,7 @@ class _RegionState:
             num_cores=int(cores),
             issue_width=int(width),
         )
-        self.attr: Dict[str, float] = {}
-        self.cursor = [event.time] * int(cores)
-        self.gap = ["ramp"] * int(cores)
-        self.used = [False] * int(cores)
+        self.ledger = SlotLedger(event.time, int(cores), int(width))
         self.last_commit_end = event.time
         self.starts: Dict[Tuple[int, int], float] = {}
         #: open stalls keyed (epoch, generation)
@@ -292,14 +294,6 @@ class _RegionState:
         self.pending_addr: Dict[Tuple[int, str, str], StallRecord] = {}
         #: last consumed forwarded address per (channel, epoch)
         self.addr_of: Dict[Tuple[str, int], int] = {}
-
-    def _add(self, cause: str, slots: float) -> None:
-        if slots:
-            self.attr[cause] = self.attr.get(cause, 0.0) + slots
-
-    def _gap(self, core: int, occ_start: float) -> None:
-        width = self.analysis.issue_width
-        self._add("idle." + self.gap[core], (occ_start - self.cursor[core]) * width)
 
     def _require(self, event: Event, name: str):
         value = event.fields.get(name)
@@ -320,60 +314,30 @@ class _RegionState:
         return start
 
     def on_commit(self, event: Event) -> None:
-        width = self.analysis.issue_width
         start = self._start_of(event)
-        busy = self._require(event, "busy")
         done = self._require(event, "done_clock")
-        sync_scalar = self._require(event, "sync_scalar")
-        sync_mem = self._require(event, "sync_mem")
-        sync_hw = self._require(event, "sync_hw")
-        sync_lmode = self._require(event, "sync_lmode")
-        mem_stall = self._require(event, "mem_stall")
         eff = max(done, self.last_commit_end)
-        commit_end = event.time
-        core = event.core
-        self._gap(core, start)
-        self._add("busy", busy)
-        self._add("sync.scalar", sync_scalar * width)
-        self._add("sync.mem", sync_mem * width)
-        self._add("sync.hw", (sync_hw - sync_lmode) * width)
-        self._add("sync.lmode", sync_lmode * width)
-        self._add("mem_stall", mem_stall)
-        # Same expression shape as the engine's, so the float result is
-        # identical even off the dyadic-exact path.
-        sync_cycles = sync_scalar + sync_mem + sync_hw
-        self._add(
-            "exec_latency",
-            (done - start) * width - busy - sync_cycles * width - mem_stall,
+        self.last_commit_end = event.time
+        self.ledger.commit(
+            core=event.core, start=start, done=done, eff=eff, end=event.time,
+            busy=self._require(event, "busy"),
+            sync_scalar=self._require(event, "sync_scalar"),
+            sync_mem=self._require(event, "sync_mem"),
+            sync_hw=self._require(event, "sync_hw"),
+            sync_lmode=self._require(event, "sync_lmode"),
+            mem_stall=self._require(event, "mem_stall"),
         )
-        self._add("commit_token", (eff - done) * width)
-        self._add("commit_flush", (commit_end - eff) * width)
-        self.cursor[core] = commit_end
-        self.gap[core] = "spawn"
-        self.used[core] = True
-        self.last_commit_end = commit_end
         self.analysis.commits[event.epoch] = CommitInfo(
-            epoch=event.epoch, generation=event.generation, core=core,
-            start=start, done=done, eff=eff, end=commit_end,
+            epoch=event.epoch, generation=event.generation, core=event.core,
+            start=start, done=done, eff=eff, end=event.time,
         )
 
     def on_squash(self, event: Event) -> None:
-        width = self.analysis.issue_width
-        start = self._start_of(event)
-        clock = self._require(event, "clock")
-        cause = self._require(event, "cause")
-        time = event.time
-        core = event.core
-        consumed = max(0.0, min(clock, time) - start) * width
-        cursor = self.cursor[core]
-        occ_start = max(cursor, min(start, time))
-        release = max(cursor, time)
-        self._gap(core, occ_start)
-        self._add("fail." + cause, consumed)
-        self._add("squash_stall", (release - occ_start) * width - consumed)
-        self.cursor[core] = release
-        self.gap[core] = "recovery"
-        self.used[core] = True
+        self.ledger.squash(
+            core=event.core, start=self._start_of(event),
+            clock=self._require(event, "clock"), time=event.time,
+            cause=self._require(event, "cause"),
+        )
         # a squash abandons any open stall of this attempt
         self.open_stalls.pop((event.epoch, event.generation), None)
         self.pending_addr = {
@@ -430,17 +394,9 @@ class _RegionState:
             pending.addr = payload if payload else None
 
     def finish(self, event: Event) -> RegionAnalysis:
-        analysis = self.analysis
-        analysis.end = event.time
-        width = analysis.issue_width
-        for core in range(analysis.num_cores):
-            tail = (analysis.end - self.cursor[core]) * width
-            self._add("idle.drain" if self.used[core] else "idle.no_thread",
-                      tail)
-        analysis.attribution = {
-            cause: self.attr[cause] for cause in sorted(self.attr)
-        }
-        return analysis
+        self.analysis.end = event.time
+        self.analysis.attribution = self.ledger.finalize(event.time)
+        return self.analysis
 
 
 def attribute_events(

@@ -101,7 +101,7 @@ from repro.tlssim.forwarding import ChannelBank, SignalAddressBuffer
 from repro.tlssim.hwsync import ViolatingLoadTable
 from repro.tlssim.oracle import ValueOracle
 from repro.tlssim.prediction import make_predictor
-from repro.tlssim.stats import RegionStats, SimResult, ViolationRecord
+from repro.tlssim.stats import RegionStats, SimResult, SlotLedger, ViolationRecord
 
 
 class EngineError(Exception):
@@ -189,9 +189,6 @@ class EpochRun:
     @property
     def sync_cycles(self) -> float:
         return self.sync_scalar + self.sync_mem + self.sync_hw
-
-    def consumed_slots(self, until: float, issue_width: int) -> float:
-        return max(0.0, min(self.clock, until) - self.start_clock) * issue_width
 
 
 def _decode_dt(config: SimConfig) -> Callable[[object], float]:
@@ -680,17 +677,8 @@ class _RegionExecution:
         #: event time of the shared-state operation currently being
         #: performed; squash rollbacks compare run traces against it.
         self._now = self.start_time
-        #: fine-grained slot attribution (cause -> slots).  Each core's
-        #: timeline is partitioned exactly: run occupancy intervals are
-        #: decomposed at release (commit or squash) and the gaps between
-        #: them attributed by what the core was waiting for, so the
-        #: categories sum to ``slots.total`` with no remainder (all
-        #: times are dyadic rationals, so float sums are exact).
-        self.attr: Dict[str, float] = {}
         cores = self.config.num_cores
-        self.core_cursor = [self.start_time] * cores
-        self.core_gap = ["ramp"] * cores
-        self.core_used = [False] * cores
+        self.ledger = SlotLedger(self.start_time, cores, self.config.issue_width)
         if engine.obs is not None:
             engine.obs.now = self.start_time
             engine.obs.emit(
@@ -714,89 +702,6 @@ class _RegionExecution:
         for channel in annotation.mem_channels:
             self.channels.seed(channel, 0, "addr", 0)
             self.channels.seed(channel, 0, "value", 0)
-
-    # -- slot attribution ---------------------------------------------------
-
-    def _attr_add(self, cause: str, slots: float) -> None:
-        if slots:
-            self.attr[cause] = self.attr.get(cause, 0.0) + slots
-
-    def _attr_gap(self, core: int, occ_start: float) -> None:
-        """Attribute the idle gap preceding a run's occupancy interval."""
-        gap = occ_start - self.core_cursor[core]
-        self._attr_add(
-            "idle." + self.core_gap[core], gap * self.config.issue_width
-        )
-
-    def _attr_commit(self, run: EpochRun, eff: float, commit_end: float) -> None:
-        """Decompose a committed run's core occupancy into causes.
-
-        ``[start_clock, commit_end]`` splits into busy slots, per-cause
-        sync stalls, cache-miss latency, residual execution latency,
-        the in-order commit-token wait and the write-back flush.
-        """
-        width = self.config.issue_width
-        core = run.core
-        self._attr_gap(core, run.start_clock)
-        done = run.clock
-        self._attr_add("busy", run.busy_slots)
-        self._attr_add("sync.scalar", run.sync_scalar * width)
-        self._attr_add("sync.mem", run.sync_mem * width)
-        self._attr_add("sync.hw", (run.sync_hw - run.sync_lmode) * width)
-        self._attr_add("sync.lmode", run.sync_lmode * width)
-        self._attr_add("mem_stall", run.mem_stall)
-        self._attr_add(
-            "exec_latency",
-            (done - run.start_clock) * width
-            - run.busy_slots
-            - run.sync_cycles * width
-            - run.mem_stall,
-        )
-        self._attr_add("commit_token", (eff - done) * width)
-        self._attr_add("commit_flush", (commit_end - eff) * width)
-        self.core_cursor[core] = commit_end
-        self.core_gap[core] = "spawn"
-        self.core_used[core] = True
-
-    def _attr_squash(
-        self, run: EpochRun, time: float, consumed: float, cause: str
-    ) -> None:
-        """Decompose a squashed run's core occupancy: the consumed part
-        (== the slots added to ``fail_slots``) by violation cause, plus
-        the time the doomed run sat stalled before the squash.
-
-        The interval is clamped to the core cursor: a violating store
-        can execute before the previous occupant's commit flush
-        completes, squashing a just-spawned successor at a time that
-        precedes its own start — the clamp keeps per-core intervals
-        non-overlapping so the partition stays exact.
-        """
-        width = self.config.issue_width
-        core = run.core
-        cursor = self.core_cursor[core]
-        occ_start = max(cursor, min(run.start_clock, time))
-        release = max(cursor, time)
-        self._attr_gap(core, occ_start)
-        self._attr_add("fail." + cause, consumed)
-        self._attr_add(
-            "squash_stall", (release - occ_start) * width - consumed
-        )
-        self.core_cursor[core] = release
-        self.core_gap[core] = "recovery"
-        self.core_used[core] = True
-
-    def _attr_finalize(self) -> None:
-        end = self.stats.end_time
-        width = self.config.issue_width
-        for core in range(self.config.num_cores):
-            tail = (end - self.core_cursor[core]) * width
-            self._attr_add(
-                "idle.drain" if self.core_used[core] else "idle.no_thread",
-                tail,
-            )
-        self.stats.attribution = {
-            cause: self.attr[cause] for cause in sorted(self.attr)
-        }
 
     # -- spawning -----------------------------------------------------------
 
@@ -866,7 +771,7 @@ class _RegionExecution:
         slots = self.stats.slots
         slots.total = cycles * self.config.issue_width * self.config.num_cores
         slots.fail = self.fail_slots
-        self._attr_finalize()
+        self.stats.attribution = self.ledger.finalize(end)
         self.engine.regions.append(self.stats)
         self.engine.instructions += self.total_steps
 
@@ -1165,7 +1070,6 @@ class _RegionExecution:
     def _squash(
         self, run: EpochRun, time: float, restart: bool, cause: str
     ) -> None:
-        width = self.config.issue_width
         trace = run.trace
         if trace:
             # Fast path: the victim free-ran private instructions past
@@ -1222,9 +1126,10 @@ class _RegionExecution:
                 cause=cause,
                 clock=run.clock,
             )
-        consumed = run.consumed_slots(time, width)
-        self.fail_slots += consumed
-        self._attr_squash(run, time, consumed, cause)
+        self.fail_slots += self.ledger.squash(
+            core=run.core, start=run.start_clock, clock=run.clock,
+            time=time, cause=cause,
+        )
         self.stats.epochs_squashed += 1
         self.stats.max_signal_buffer = max(
             self.stats.max_signal_buffer, run.sab.high_water
@@ -1327,7 +1232,13 @@ class _RegionExecution:
         # The scheduler's effective commit time (commit-token grant):
         # identical to the eff _event_for derived for this commit.
         eff = max(run.clock, self.last_commit_end)
-        self._attr_commit(run, eff, commit_end)
+        self.ledger.commit(
+            core=run.core, start=run.start_clock, done=run.clock, eff=eff,
+            end=commit_end, busy=run.busy_slots,
+            sync_scalar=run.sync_scalar, sync_mem=run.sync_mem,
+            sync_hw=run.sync_hw, sync_lmode=run.sync_lmode,
+            mem_stall=run.mem_stall,
+        )
         self.stats.slots.busy += run.busy_slots
         self.stats.slots.sync += run.sync_cycles * width
         self.stats.sync_scalar += run.sync_scalar * width

@@ -73,6 +73,94 @@ class SlotBreakdown:
         }
 
 
+class SlotLedger:
+    """The fine-grained slot attribution (cause -> slots) of one region.
+
+    Each core's timeline is partitioned exactly: a run's occupancy is
+    decomposed into causes when the core releases it (commit or
+    squash), and the gap before it is attributed by what the core was
+    waiting for, so the causes sum to the region's slot total with no
+    remainder (all times are dyadic rationals, so float sums are
+    exact).  The engine feeds it from run fields, ``repro analyze``
+    from event fields; docs/analysis.md names the causes.
+    """
+
+    def __init__(self, start: float, num_cores: int, issue_width: int):
+        self.width = issue_width
+        #: per core: end of its attributed timeline, what the gap after
+        #: it waits for, and whether the core ever hosted a run
+        self.cursor = [start] * num_cores
+        self.gap = ["ramp"] * num_cores
+        self.used = [False] * num_cores
+        self.causes: Dict[str, float] = {}
+
+    def _add(self, cause: str, slots: float) -> None:
+        if slots:
+            self.causes[cause] = self.causes.get(cause, 0.0) + slots
+
+    def _occupy(self, core: int, start: float, release: float, gap: str) -> None:
+        """Attribute the idle gap before ``[start, release]`` and move
+        the core's cursor to ``release``."""
+        self._add("idle." + self.gap[core], (start - self.cursor[core]) * self.width)
+        self.cursor[core] = release
+        self.gap[core] = gap
+        self.used[core] = True
+
+    def commit(
+        self, core: int, start: float, done: float, eff: float, end: float,
+        busy: float, sync_scalar: float, sync_mem: float, sync_hw: float,
+        sync_lmode: float, mem_stall: float,
+    ) -> None:
+        """``[start, end]`` of a committed run splits into busy slots,
+        sync stalls by cause, cache-miss latency, residual execution
+        latency up to ``done``, the commit-token wait up to ``eff`` and
+        the write-back flush."""
+        width = self.width
+        self._occupy(core, start, end, "spawn")
+        self._add("busy", busy)
+        self._add("sync.scalar", sync_scalar * width)
+        self._add("sync.mem", sync_mem * width)
+        self._add("sync.hw", (sync_hw - sync_lmode) * width)
+        self._add("sync.lmode", sync_lmode * width)
+        self._add("mem_stall", mem_stall)
+        sync_cycles = sync_scalar + sync_mem + sync_hw
+        self._add(
+            "exec_latency",
+            (done - start) * width - busy - sync_cycles * width - mem_stall,
+        )
+        self._add("commit_token", (eff - done) * width)
+        self._add("commit_flush", (end - eff) * width)
+
+    def squash(
+        self, core: int, start: float, clock: float, time: float, cause: str
+    ) -> float:
+        """A run that started at ``start`` and executed up to ``clock``
+        is squashed at ``time``: its consumed slots (returned) go to
+        ``fail.<cause>``, the time it sat stalled to ``squash_stall``.
+
+        The interval is clamped to the core cursor: a violating store
+        can execute before the previous occupant's commit flush
+        completes, squashing a just-spawned successor at a time that
+        precedes its own start; the clamp keeps per-core intervals
+        non-overlapping so the partition stays exact.
+        """
+        consumed = max(0.0, min(clock, time) - start) * self.width
+        cursor = self.cursor[core]
+        occ_start = max(cursor, min(start, time))
+        release = max(cursor, time)
+        self._occupy(core, occ_start, release, "recovery")
+        self._add("fail." + cause, consumed)
+        self._add("squash_stall", (release - occ_start) * self.width - consumed)
+        return consumed
+
+    def finalize(self, end: float) -> Dict[str, float]:
+        """Attribute every core's tail up to ``end``; the causes, sorted."""
+        for core, cursor in enumerate(self.cursor):
+            tail = (end - cursor) * self.width
+            self._add("idle.drain" if self.used[core] else "idle.no_thread", tail)
+        return {cause: self.causes[cause] for cause in sorted(self.causes)}
+
+
 @dataclass
 class ViolationRecord:
     """One squash event, for the Figure 11 classification."""
@@ -116,9 +204,9 @@ class RegionStats:
     sync_memory: float = 0.0
     sync_hw: float = 0.0
     max_signal_buffer: int = 0
-    #: fine-grained slot attribution: named cause -> slots, computed by
-    #: the engine during execution (see docs/analysis.md for the
-    #: category taxonomy).  Sums exactly to ``slots.total`` — the
+    #: fine-grained slot attribution: named cause -> slots, the
+    #: engine's :class:`SlotLedger` of the region (docs/analysis.md
+    #: names the causes).  Sums exactly to ``slots.total``: the
     #: accounting identity checked by repro.obs.analysis.
     attribution: Dict[str, float] = field(default_factory=dict)
 
