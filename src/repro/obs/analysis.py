@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.events import Event
-from repro.tlssim.stats import SlotLedger
+from repro.tlssim.stats import SlotLedger, merge_attribution
 
 #: JSON report schema version (independent of the event schema).
 ANALYSIS_SCHEMA = 1
@@ -239,11 +239,7 @@ class RunAnalysis:
     meta: Dict = field(default_factory=dict)
 
     def merged_attribution(self) -> Dict[str, float]:
-        merged: Dict[str, float] = {}
-        for region in self.regions:
-            for cause, slots in region.attribution.items():
-                merged[cause] = merged.get(cause, 0.0) + slots
-        return {cause: merged[cause] for cause in sorted(merged)}
+        return merge_attribution(self.regions)
 
     @property
     def total_slots(self) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.events import Event
+from repro.tlssim.stats import merge_attribution
 
 #: Default histogram buckets (simulated cycles): roughly logarithmic,
 #: wide enough for both stall lengths and whole-epoch durations.
@@ -325,18 +326,13 @@ def engine_counters(engine) -> Dict[str, float]:
     # identity holds) and 'slots_imbalance' the magnitude by which the
     # coarse busy/fail/sync categories overshoot a region total (the
     # condition strict accounting warns about).
-    attribution: Dict[str, float] = {}
     unattributed = 0.0
     imbalance = 0.0
     for region in engine.regions:
-        attributed = 0.0
-        for cause, slots in region.attribution.items():
-            attribution[cause] = attribution.get(cause, 0.0) + slots
-            attributed += slots
-        unattributed += region.slots.total - attributed
+        unattributed += region.slots.total - sum(region.attribution.values())
         imbalance += region.slots.imbalance
-    for cause in sorted(attribution):
-        registry.gauge("slots", cause=cause).set(attribution[cause])
+    for cause, slots in merge_attribution(engine.regions).items():
+        registry.gauge("slots", cause=cause).set(slots)
     registry.gauge("slots_unattributed").set(unattributed)
     registry.gauge("slots_imbalance").set(imbalance)
     # Exact stall-length percentiles via the registry's fixed-bucket

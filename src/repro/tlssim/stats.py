@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Imbalances smaller than this are float noise, not accounting bugs.
 ACCOUNTING_EPSILON = 1e-6
@@ -159,6 +159,16 @@ class SlotLedger:
             tail = (end - cursor) * self.width
             self._add("idle.drain" if self.used[core] else "idle.no_thread", tail)
         return {cause: self.causes[cause] for cause in sorted(self.causes)}
+
+
+def merge_attribution(regions: Iterable) -> Dict[str, float]:
+    """The regions' ``attribution`` maps summed per cause, adding in
+    region order; sorted by cause."""
+    merged: Dict[str, float] = {}
+    for region in regions:
+        for cause, slots in region.attribution.items():
+            merged[cause] = merged.get(cause, 0.0) + slots
+    return {cause: merged[cause] for cause in sorted(merged)}
 
 
 @dataclass
@@ -346,11 +356,7 @@ class SimResult:
 
     def merged_attribution(self) -> Dict[str, float]:
         """Fine-grained attribution summed over all regions."""
-        merged: Dict[str, float] = {}
-        for region in self.regions:
-            for cause, slots in region.attribution.items():
-                merged[cause] = merged.get(cause, 0.0) + slots
-        return merged
+        return merge_attribution(self.regions)
 
     def total_violations(self) -> int:
         return sum(len(r.violations) for r in self.regions)
@@ -394,5 +400,5 @@ def normalized_attribution(
         return {}
     return {
         cause: height * slots / total
-        for cause, slots in sorted(parallel.merged_attribution().items())
+        for cause, slots in parallel.merged_attribution().items()
     }
