@@ -384,31 +384,48 @@ def _cmd_trace(args) -> int:
 
 
 def _load_analysis(spec: str, args):
-    """Resolve an analyze target: JSONL event log or WORKLOAD[:BAR]."""
+    """Resolve an analyze target: JSONL event log or WORKLOAD[:BAR].
+
+    A log that cannot be read or attributed, or a target naming no
+    workload or bar, raises ``AnalysisError`` with a one-line message.
+    Only a WORKLOAD target loads the simulator.
+    """
     import os
 
-    from repro.experiments import trace as trace_mod
-    from repro.experiments.runner import bundle_for
-    from repro.obs.analysis import attribute_events
-    from repro.obs.export import read_jsonl
-    from repro.tlssim.config import SimConfig
+    from repro.obs.analysis import AnalysisError, attribute_events
 
     if os.path.exists(spec) or spec.endswith(".jsonl"):
-        header, events = read_jsonl(spec)
-        meta = {
-            key: header[key]
-            for key in ("workload", "bar", "num_cores", "issue_width")
-            if key in header
-        }
-        meta["source"] = spec
-        return attribute_events(
-            events,
-            num_cores=header.get("num_cores"),
-            issue_width=header.get("issue_width"),
-            meta=meta,
-        )
+        from repro.obs.export import read_jsonl
+
+        try:
+            header, events = read_jsonl(spec)
+            meta = {
+                key: header[key]
+                for key in ("workload", "bar", "num_cores", "issue_width")
+                if key in header
+            }
+            meta["source"] = spec
+            return attribute_events(
+                events,
+                num_cores=header.get("num_cores"),
+                issue_width=header.get("issue_width"),
+                meta=meta,
+            )
+        except OSError as exc:
+            raise AnalysisError(f"{spec}: {exc.strerror or exc}") from None
+        except (ValueError, AnalysisError) as exc:
+            raise AnalysisError(f"{spec}: {exc}") from None
+    from repro.workloads.base import unknown_workload_error
+
     workload, _, bar = spec.partition(":")
     bar = (bar or args.bar).upper()
+    error = unknown_workload_error(workload) or unknown_bar_error(bar)
+    if error:
+        raise AnalysisError(error)
+    from repro.experiments import trace as trace_mod
+    from repro.experiments.runner import bundle_for
+    from repro.tlssim.config import SimConfig
+
     run = trace_mod.run_traced(
         workload,
         bar=bar,
@@ -435,9 +452,16 @@ def _cmd_analyze(args) -> int:
     from repro.obs import analysis as analysis_mod
 
     _setup_run(args)
+    if not (args.diff or args.target):
+        print("analyze: a target (or --diff A B) is required", file=sys.stderr)
+        return 2
+    try:
+        runs = [_load_analysis(spec, args) for spec in args.diff or [args.target]]
+    except analysis_mod.AnalysisError as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
+        return 2
     if args.diff:
-        run_a = _load_analysis(args.diff[0], args)
-        run_b = _load_analysis(args.diff[1], args)
+        run_a, run_b = runs
         delta = analysis_mod.diff_analyses(
             run_a, run_b, label_a=args.diff[0], label_b=args.diff[1]
         )
@@ -446,11 +470,7 @@ def _cmd_analyze(args) -> int:
         else:
             text = analysis_mod.diff_report(delta, top=args.top)
     else:
-        if not args.target:
-            print("analyze: a target (or --diff A B) is required",
-                  file=sys.stderr)
-            return 2
-        run = _load_analysis(args.target, args)
+        (run,) = runs
         if args.format == "json":
             text = json.dumps(
                 analysis_mod.json_report(run, by=args.by, top=args.top),

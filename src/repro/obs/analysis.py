@@ -63,7 +63,8 @@ GROUP_MODES = ("pair", "epoch", "address")
 
 
 class AnalysisError(Exception):
-    """The event stream cannot be attributed (old schema, truncation)."""
+    """The event stream cannot be attributed (old schema, truncation),
+    or a ``repro analyze`` target names nothing to attribute."""
 
 
 @dataclass

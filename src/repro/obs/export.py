@@ -117,20 +117,32 @@ def write_jsonl(
 
 
 def read_jsonl(path: str) -> Tuple[Dict, List[Event]]:
-    """Parse a JSONL event log; returns ``(header, events)``."""
+    """Parse a JSONL event log; returns ``(header, events)``.
+
+    A malformed log raises ``ValueError``; the message names a line
+    that is not JSON, and leaves naming the file to the caller."""
     with open(path) as handle:
-        lines = [line for line in handle.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty event log")
-    header = json.loads(lines[0])
-    if header.get("stream") != "repro.obs.events":
-        raise ValueError(f"{path}: not a repro.obs event log")
+        lines = handle.read().splitlines()
+    records = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"line {number} column {exc.colno}: {exc.msg}"
+                ) from None
+    if not records:
+        raise ValueError("empty event log")
+    header = records[0]
+    if not isinstance(header, dict) or header.get("stream") != "repro.obs.events":
+        raise ValueError("not a repro.obs event log")
     if header.get("schema") != SCHEMA_VERSION:
         raise ValueError(
-            f"{path}: schema {header.get('schema')!r}, "
+            f"schema {header.get('schema')!r}, "
             f"expected {SCHEMA_VERSION}"
         )
-    return header, [Event.from_dict(json.loads(line)) for line in lines[1:]]
+    return header, [Event.from_dict(record) for record in records[1:]]
 
 
 # ---------------------------------------------------------------------------

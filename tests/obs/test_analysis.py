@@ -307,3 +307,61 @@ class TestCli:
 
         assert main(["analyze", "--no-cache"]) == 2
         assert "required" in capsys.readouterr().err
+
+
+class TestCliErrors:
+    """A bad ``repro analyze`` target exits 2 with one ``analyze:`` line."""
+
+    @pytest.fixture(scope="class")
+    def log_lines(self, tmp_path_factory):
+        from repro.cli import main
+
+        log = tmp_path_factory.mktemp("log") / "go_C.jsonl"
+        assert main(["trace", "--workload", "go", "--bar", "C",
+                     "--format", "jsonl", "-o", str(log)]) == 0
+        return log.read_text().splitlines(keepends=True)
+
+    def _rejects(self, capsys, *argv):
+        from repro.cli import main
+
+        capsys.readouterr()
+        assert main(["analyze", *argv, "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("analyze: ")
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    def test_missing_file(self, tmp_path, capsys):
+        err = self._rejects(capsys, str(tmp_path / "missing.jsonl"))
+        assert "missing.jsonl: No such file or directory" in err
+
+    def test_malformed_line(self, tmp_path, capsys, log_lines):
+        log = tmp_path / "bad.jsonl"
+        log.write_text("".join(log_lines[:5]) + "{oops\n"
+                       + "".join(log_lines[5:]))
+        err = self._rejects(capsys, str(log))
+        assert "bad.jsonl: line 6 column 2: Expecting property name" in err
+
+    def test_log_cut_before_region_end(self, tmp_path, capsys, log_lines):
+        log = tmp_path / "cut.jsonl"
+        log.write_text("".join(
+            line for line in log_lines if '"region_end"' not in line
+        ))
+        err = self._rejects(capsys, str(log))
+        assert "cut.jsonl: stream ends inside a region" in err
+
+    def test_unknown_workload(self, capsys):
+        err = self._rejects(capsys, "nosuchwl:C")
+        assert "unknown workload 'nosuchwl'" in err
+
+    def test_unknown_bar(self, capsys):
+        err = self._rejects(capsys, "mcf:Z")
+        assert "unknown bar 'Z'" in err
+
+    @pytest.mark.parametrize("side", (0, 1))
+    def test_diff_operands(self, tmp_path, capsys, side):
+        operands = ["go:C", "go:C"]
+        operands[side] = str(tmp_path / "missing.jsonl")
+        err = self._rejects(capsys, "--diff", *operands)
+        assert "No such file or directory" in err

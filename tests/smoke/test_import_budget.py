@@ -39,6 +39,10 @@ SIMULATE = (
     "repro.obs.prom", "repro.serve", "repro.sweep",
     "concurrent.futures.process",
 )
+ANALYZE_LOG = (
+    "repro.tlssim.engine", "repro.ir", "repro.compiler",
+    "repro.experiments.runner", "repro.experiments.trace",
+)
 WARM_REPORT = (
     "repro.compiler", "repro.ir.interpreter", "repro.ir.lower",
     "repro.ir.codegen", "repro.tlssim.engine",
@@ -90,6 +94,17 @@ def test_simulate_loads_only_the_compute_stack(tmp_path):
         if name.startswith("repro.workloads.") and name != "repro.workloads.base"
     ]
     assert builders == ["repro.workloads.go"]
+
+
+def test_analyze_log_loads_no_simulator(tmp_path):
+    from repro.cli import main
+
+    log = str(tmp_path / "go_C.jsonl")
+    assert main(["trace", "--workload", "go", "--bar", "C",
+                 "--format", "jsonl", "-o", log]) == 0
+    modules = _loaded(tmp_path, "analyze", log, "--no-cache")
+    assert "repro.obs.analysis" in modules  # it did analyze
+    assert _violations(modules, ANALYZE_LOG) == []
 
 
 def test_warm_report_loads_no_compiler_or_engine(tmp_path):
